@@ -1,9 +1,11 @@
-// Differential pin of the simulator core against pre-SoA-refactor
-// golden output: the reduced-scale Figure 10 and Table 2 tables must
-// regenerate byte for byte at every scheduler parallelism, on the SoA
-// engine exactly as on the per-warp-object engine that produced the
-// goldens. Any diff is a semantic change to the simulated device — the
-// epoch-barrier engine leaves no room for noise.
+// Differential pin of the simulator core and the experiment grid: the
+// reduced-scale Figure 10 and Table 2 tables, and the raw cells of
+// every grid figure (Figures 2, 8, 10, Table 2, the cross-policy
+// comparison and the architecture sweep), must regenerate byte for
+// byte at every scheduler parallelism. The tables predate the SoA
+// engine; the cell pins predate the single grid runner. Any diff is a
+// semantic change to the simulated device or to how a figure assembles
+// its cells — the epoch-barrier engine leaves no room for noise.
 //
 // Regenerate consciously with:
 //
@@ -11,6 +13,8 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -21,7 +25,7 @@ import (
 )
 
 var updateSimtcore = flag.Bool("update-simtcore", false,
-	"rewrite testdata/simtcore_golden_*.txt from the current simulator")
+	"rewrite testdata/simtcore_golden_* from the current simulator")
 
 // simtcoreParams is the fixed reduced-scale workload the goldens pin.
 // Small enough for tier-1 (a few seconds per run), large enough that
@@ -37,19 +41,61 @@ func simtcoreParams(par int) experiments.Params {
 	return p
 }
 
-func simtcoreTables(t *testing.T, par int, cache *experiments.WorkloadCache) (fig10, table2 string) {
+// simtcoreGoldens runs every grid figure at the reduced scale and
+// returns the pinned outputs keyed by golden file suffix: the rendered
+// Figure 10 and Table 2 tables, plus the JSON cells of each figure.
+// Figure 8 and the policies figure cap each bounce at 64 rays, the
+// sweep at 16, and Figure 8 and the sweep run one bounce. A DRS cell
+// keeps every persistent warp of each SMX that got rays busy for the
+// whole launch, so on the 128-SMX sweep device the cost follows the
+// number of SMXs with work, not the ray count; at 16 rays the sweep's
+// 18 cells take ~2 s sequentially on a 2-core host.
+func simtcoreGoldens(t *testing.T, par int, cache *experiments.WorkloadCache) map[string]string {
 	t.Helper()
+	ctx := context.Background()
 	p := simtcoreParams(par)
 	p.Cache = cache
-	cells10, err := experiments.Figure10(p, 2, []scene.Benchmark{scene.ConferenceRoom})
-	if err != nil {
-		t.Fatal(err)
+	conf := []scene.Benchmark{scene.ConferenceRoom}
+	fairy := []scene.Benchmark{scene.FairyForest}
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("par %d: %v", par, err)
+		}
 	}
-	cellsT2, err := experiments.Table2(p, 2, []scene.Benchmark{scene.FairyForest})
-	if err != nil {
-		t.Fatal(err)
+	cellsJSON := func(cells any) string {
+		t.Helper()
+		js, err := json.Marshal(cells)
+		check(err)
+		return string(js) + "\n"
 	}
-	return experiments.RenderFigure10(cells10, 2), experiments.RenderTable2(cellsT2, 2)
+
+	fig2, err := experiments.Figure2Ctx(ctx, p)
+	check(err)
+	fig10, err := experiments.Figure10Ctx(ctx, p, 2, conf)
+	check(err)
+	table2, err := experiments.Table2Ctx(ctx, p, 2, fairy)
+	check(err)
+	capped := p
+	capped.MaxRaysPerBounce = 64
+	fig8, err := experiments.Figure8Ctx(ctx, capped, 1, conf)
+	check(err)
+	policies, err := experiments.PoliciesFigureCtx(ctx, capped, 2, conf, nil)
+	check(err)
+	capped.MaxRaysPerBounce = 16
+	sweeps, err := experiments.SweepsFigureCtx(ctx, capped, 1, conf)
+	check(err)
+
+	return map[string]string{
+		"fig10.txt":     experiments.RenderFigure10(fig10, 2),
+		"table2.txt":    experiments.RenderTable2(table2, 2),
+		"fig2.json":     cellsJSON(fig2),
+		"fig8.json":     cellsJSON(fig8),
+		"fig10.json":    cellsJSON(fig10),
+		"table2.json":   cellsJSON(table2),
+		"policies.json": cellsJSON(policies),
+		"sweeps.json":   cellsJSON(sweeps),
+	}
 }
 
 // TestSimtCoreCheckDeterminism runs the reduced-scale Figure 10 with
@@ -67,7 +113,7 @@ func TestSimtCoreCheckDeterminism(t *testing.T) {
 		p := simtcoreParams(par)
 		p.Cache = cache
 		p.Options.CheckDeterminism = true
-		if _, err := experiments.Figure10(p, 2, []scene.Benchmark{scene.ConferenceRoom}); err != nil {
+		if _, err := experiments.Figure10Ctx(context.Background(), p, 2, []scene.Benchmark{scene.ConferenceRoom}); err != nil {
 			t.Fatalf("par %d: determinism check failed: %v", par, err)
 		}
 	}
@@ -77,21 +123,20 @@ func TestSimtCoreGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reduced-scale device simulation; skipped with -short")
 	}
-	goldens := map[string]string{}
+	var goldens map[string]string
 	cache := experiments.NewWorkloadCache()
 	for _, par := range []int{1, 2, 4} {
-		fig10, table2 := simtcoreTables(t, par, cache)
-		if prev, ok := goldens["fig10"]; ok && prev != fig10 {
-			t.Fatalf("fig10 output differs between -par values (par=%d)", par)
+		got := simtcoreGoldens(t, par, cache)
+		for name, out := range goldens {
+			if got[name] != out {
+				t.Fatalf("%s output differs between -par values (par=%d)", name, par)
+			}
 		}
-		if prev, ok := goldens["table2"]; ok && prev != table2 {
-			t.Fatalf("table2 output differs between -par values (par=%d)", par)
-		}
-		goldens["fig10"], goldens["table2"] = fig10, table2
+		goldens = got
 	}
 
 	for name, got := range goldens {
-		path := filepath.Join("testdata", "simtcore_golden_"+name+".txt")
+		path := filepath.Join("testdata", "simtcore_golden_"+name)
 		if *updateSimtcore {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
@@ -107,7 +152,7 @@ func TestSimtCoreGolden(t *testing.T) {
 			t.Fatalf("read golden: %v (regenerate with -update-simtcore)", err)
 		}
 		if got != string(want) {
-			t.Errorf("%s diverged from pre-refactor golden %s;\ngot:\n%s\nwant:\n%s",
+			t.Errorf("%s diverged from golden %s;\ngot:\n%s\nwant:\n%s",
 				name, path, got, want)
 		}
 	}
