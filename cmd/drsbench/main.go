@@ -102,6 +102,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-par must be >= 0\n")
 		os.Exit(2)
 	}
+	if err := checkSweepsFlags(*exp, *archCfg, *schedFlag, *smx); err != nil {
+		fmt.Fprintf(os.Stderr, "drsbench: %v\n", err)
+		os.Exit(2)
+	}
 	p.Options.Parallelism = *par
 	switch *engine {
 	case "epoch":
@@ -413,6 +417,31 @@ func exitOn(err error) {
 	}
 	fmt.Fprintln(os.Stderr, "drsbench:", err)
 	os.Exit(1)
+}
+
+// checkSweepsFlags rejects the device flags -exp sweeps cannot honour.
+// The sweep sets the device model, the warp scheduler and (through the
+// model) the SMX count on every point, so -sched and -smx would be
+// silently overwritten, and an -arch-config's DRS budgets would ride
+// into every sweep device as a policy override.
+func checkSweepsFlags(exp, archCfg, sched string, smx int) error {
+	if exp != "sweeps" {
+		return nil
+	}
+	var set []string
+	if archCfg != "" {
+		set = append(set, "-arch-config")
+	}
+	if sched != "" {
+		set = append(set, "-sched")
+	}
+	if smx != 0 {
+		set = append(set, "-smx")
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("-exp sweeps sets the device model, scheduler and SMX count per point; drop %s", strings.Join(set, ", "))
 }
 
 // resolveArchConfig maps the -arch-config flag to a device model: a

@@ -70,22 +70,3 @@ func (p Params) workload(b scene.Benchmark) (*Workload, error) {
 // par is the cell scheduler's worker count (harness.Options.Parallelism;
 // 0 means GOMAXPROCS).
 func (p Params) par() int { return p.Options.Parallelism }
-
-// workloadCells returns one prefetch cell per scene. Runners put these
-// at the front of their grids so that with N workers the first N scene
-// builds run concurrently, instead of every worker blocking on the
-// singleflighted build of the first scene's simulation cells.
-func workloadCells[T any](p Params, scenes []scene.Benchmark) []cellsched.Cell[T] {
-	cells := make([]cellsched.Cell[T], len(scenes))
-	for i, b := range scenes {
-		cells[i] = cellsched.Cell[T]{
-			Key: "workload/" + b.String(),
-			Run: func() (T, error) {
-				var zero T
-				_, err := p.workload(b)
-				return zero, err
-			},
-		}
-	}
-	return cells
-}

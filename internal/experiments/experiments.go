@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -144,32 +143,6 @@ func (w *Workload) BounceRays(b int, p Params) []geom.Ray {
 		rays = rays[:p.MaxRaysPerBounce]
 	}
 	return rays
-}
-
-// simulate runs one architecture on one bounce stream.
-func (w *Workload) simulate(arch harness.Arch, bounce int, p Params) (*harness.Result, error) {
-	return w.simulateCtx(context.Background(), arch, bounce, p)
-}
-
-// simulateCtx is simulate with cancellation threaded into the engine:
-// an in-flight device run aborts at its next epoch barrier once ctx is
-// done.
-func (w *Workload) simulateCtx(ctx context.Context, arch harness.Arch, bounce int, p Params) (*harness.Result, error) {
-	rays := w.BounceRays(bounce, p)
-	if len(rays) == 0 {
-		return nil, fmt.Errorf("experiments: %s bounce %d has no rays", w.Benchmark, bounce)
-	}
-	return harness.RunCtx(ctx, arch, rays, w.Data, p.Options)
-}
-
-// simulateNamedCtx runs one named reordering policy (resolved through
-// the harness registry) on one bounce stream.
-func (w *Workload) simulateNamedCtx(ctx context.Context, policy string, bounce int, p Params) (*harness.Result, error) {
-	rays := w.BounceRays(bounce, p)
-	if len(rays) == 0 {
-		return nil, fmt.Errorf("experiments: %s bounce %d has no rays", w.Benchmark, bounce)
-	}
-	return harness.RunNamedCtx(ctx, policy, rays, w.Data, p.Options)
 }
 
 // table renders rows of columns with a header as aligned text.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cellsched"
 	"repro/internal/harness"
 	"repro/internal/scene"
 	"repro/internal/simt"
@@ -35,32 +34,12 @@ var ComparisonArchs = []harness.Arch{
 	harness.ArchAila, harness.ArchDMK, harness.ArchTBC, harness.ArchDRS,
 }
 
-// fig10Result is one (scene, arch, bounce) cell outcome plus the raw
-// stats the overall row aggregates from.
-type fig10Result struct {
-	ok    bool // false: the bounce stream was empty, cell skipped
-	cell  ArchCell
-	stats simt.Stats
-	rays  int
-}
-
-// Figure10 reproduces Figures 10 and 11: SIMD efficiency with
+// Figure10Ctx reproduces Figures 10 and 11: SIMD efficiency with
 // utilization breakdown and ray tracing performance for Aila's method,
-// DMK, TBC and the DRS, per bounce plus overall. The paper shows
-// bounces 1-3 and the overall result over all 8 bounces.
-//
-// Every (scene, arch, bounce) simulation is an independent scheduler
-// cell; the grid runs on Options.Parallelism workers and the rows are
-// assembled positionally in the canonical scene/arch/bounce order, so
-// the output is byte-identical at any worker count.
-func Figure10(p Params, perBounce int, scenes []scene.Benchmark) ([]ArchCell, error) {
-	return Figure10Ctx(context.Background(), p, perBounce, scenes)
-}
-
-// Figure10Ctx is Figure10 with cancellation: scheduler workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier. An uncancelled call is byte-identical to
-// Figure10.
+// DMK, TBC and the DRS on each scene (nil = all four). Bounces
+// 1..Params.Bounces (0 = 8) are simulated; the first perBounce (<= 0
+// selects 3) get their own cells and all of them merge into an overall
+// cell (Bounce 0), as the paper shows B1-B3 plus the overall result.
 func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Benchmark) ([]ArchCell, error) {
 	if perBounce <= 0 {
 		perBounce = 3
@@ -72,84 +51,38 @@ func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Be
 	if bounces <= 0 {
 		bounces = 8
 	}
-	p = p.ensureCache()
-
-	grid := workloadCells[fig10Result](p, scenes)
-	prefetch := len(grid)
-	for _, b := range scenes {
-		for _, arch := range ComparisonArchs {
-			for bounce := 1; bounce <= bounces; bounce++ {
-				grid = append(grid, cellsched.Cell[fig10Result]{
-					Key: fmt.Sprintf("fig10/%s/%s/B%d", b, arch, bounce),
-					Run: func() (fig10Result, error) {
-						w, err := p.workload(b)
-						if err != nil {
-							return fig10Result{}, err
-						}
-						if len(w.BounceRays(bounce, p)) == 0 {
-							return fig10Result{}, nil
-						}
-						res, err := w.simulateCtx(ctx, arch, bounce, p)
-						if err != nil {
-							return fig10Result{}, fmt.Errorf("fig10 %s %s B%d: %w", b, arch, bounce, err)
-						}
-						st := res.GPU.Stats
-						return fig10Result{
-							ok:    true,
-							stats: st,
-							rays:  res.Rays,
-							cell: ArchCell{
-								Scene: b, Arch: arch, Bounce: bounce,
-								Rays: res.Rays, Eff: res.SIMDEff,
-								Breakdown:          st.UtilizationBreakdown(p.Options.Simt.WarpSize),
-								Mrays:              res.Mrays,
-								RFShuffleShare:     res.GPU.RFShuffleShare,
-								L1TexMissRate:      res.GPU.L1TexMissRate,
-								SpawnConflictShare: spawnShare(st),
-							},
-						}, nil
-					},
-				})
-			}
-		}
+	names := make([]string, len(ComparisonArchs))
+	for i, a := range ComparisonArchs {
+		names[i] = a.String()
 	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	res, err := runGrid(ctx, p, "fig10", scenes, namedPoints(names, p.Options), bounces)
 	if err != nil {
 		return nil, err
 	}
-	results = results[prefetch:]
-
+	warp := p.Options.Simt.WarpSize
 	var cells []ArchCell
-	i := 0
-	for _, b := range scenes {
-		for _, arch := range ComparisonArchs {
-			var overall simt.Stats
-			var cycleSum int64
-			overallRays := 0
-			for bounce := 1; bounce <= bounces; bounce++ {
-				r := results[i]
-				i++
-				if !r.ok {
-					continue
-				}
-				overall.Add(r.stats)
-				// The paper's overall performance is total rays over the
-				// total cycles of all 8 bounces (each bounce is a
-				// separate kernel launch).
-				cycleSum += r.stats.Cycles
-				overallRays += r.rays
-				if bounce <= perBounce {
-					cells = append(cells, r.cell)
+	for si, b := range scenes {
+		for ai, arch := range ComparisonArchs {
+			for i, r := range res[si][ai] {
+				if r.ok && i < perBounce {
+					cells = append(cells, ArchCell{
+						Scene: b, Arch: arch, Bounce: i + 1,
+						Rays: r.rays, Eff: r.eff,
+						Breakdown:          r.stats.UtilizationBreakdown(warp),
+						Mrays:              r.mrays,
+						RFShuffleShare:     r.rfShuffleShare,
+						L1TexMissRate:      r.l1TexMissRate,
+						SpawnConflictShare: spawnShare(r.stats),
+					})
 				}
 			}
-			overall.Cycles = cycleSum
+			all := merge(res[si][ai], p.Options)
 			cells = append(cells, ArchCell{
 				Scene: b, Arch: arch, Bounce: 0,
-				Rays: overallRays,
-				Eff:  overall.SIMDEfficiency(p.Options.Simt.WarpSize),
-				Breakdown: overall.UtilizationBreakdown(
-					p.Options.Simt.WarpSize),
-				Mrays: overall.MraysPerSec(int64(overallRays), p.Options.Simt.ClockMHz),
+				Rays:      all.rays,
+				Eff:       all.eff,
+				Breakdown: all.stats.UtilizationBreakdown(warp),
+				Mrays:     all.mrays,
 			})
 		}
 	}
@@ -163,30 +96,13 @@ func spawnShare(st simt.Stats) float64 {
 	return float64(st.SpawnConflictCycles) / float64(st.Cycles)
 }
 
-// archKey indexes ArchCells for the renderers: one map build per
-// render instead of a linear scan over the cell slice per row.
-type archKey struct {
-	scene  scene.Benchmark
-	arch   harness.Arch
-	bounce int
-}
-
-func indexArchCells(cells []ArchCell) map[archKey]ArchCell {
-	m := make(map[archKey]ArchCell, len(cells))
-	for _, c := range cells {
-		k := archKey{c.Scene, c.Arch, c.Bounce}
-		if _, ok := m[k]; !ok { // first match wins, like the old scans
-			m[k] = c
-		}
-	}
-	return m
-}
+func archKey(c ArchCell) cellKey { return cellKey{c.Scene, c.Arch.String(), c.Bounce} }
 
 // RenderFigure10 prints the SIMD efficiency / breakdown comparison.
 func RenderFigure10(cells []ArchCell, perBounce int) string {
 	out := "Figure 10: SIMD efficiency and utilization breakdown (Aila / DMK / TBC / DRS)\n"
 	header := []string{"scene", "bounce", "arch", "SIMD eff", "W1:8", "W9:16", "W17:24", "W25:32", "SI"}
-	idx := indexArchCells(cells)
+	idx := indexCells(cells, archKey)
 	var rows [][]string
 	for _, b := range scene.Benchmarks {
 		for bounce := 1; bounce <= perBounce+1; bounce++ {
@@ -197,7 +113,7 @@ func RenderFigure10(cells []ArchCell, perBounce int) string {
 				label = "all"
 			}
 			for _, arch := range ComparisonArchs {
-				c, ok := idx[archKey{b, arch, bn}]
+				c, ok := idx[cellKey{b, arch.String(), bn}]
 				if !ok {
 					continue
 				}
@@ -219,7 +135,7 @@ func RenderFigure10(cells []ArchCell, perBounce int) string {
 func RenderFigure11(cells []ArchCell, perBounce int) string {
 	out := "Figure 11: ray tracing performance (Mrays/s) and speedup vs Aila\n"
 	header := []string{"scene", "bounce", "aila", "dmk", "tbc", "drs", "dmk x", "tbc x", "drs x"}
-	idx := indexArchCells(cells)
+	idx := indexCells(cells, archKey)
 	var rows [][]string
 	for _, b := range scene.Benchmarks {
 		for bounce := 1; bounce <= perBounce+1; bounce++ {
@@ -229,13 +145,13 @@ func RenderFigure11(cells []ArchCell, perBounce int) string {
 				bn = 0
 				label = "all"
 			}
-			aila, ok := idx[archKey{b, harness.ArchAila, bn}]
+			aila, ok := idx[cellKey{b, harness.ArchAila.String(), bn}]
 			if !ok {
 				continue
 			}
-			dmk := idx[archKey{b, harness.ArchDMK, bn}]
-			tbc := idx[archKey{b, harness.ArchTBC, bn}]
-			drs := idx[archKey{b, harness.ArchDRS, bn}]
+			dmk := idx[cellKey{b, harness.ArchDMK.String(), bn}]
+			tbc := idx[cellKey{b, harness.ArchTBC.String(), bn}]
+			drs := idx[cellKey{b, harness.ArchDRS.String(), bn}]
 			speed := func(v float64) string {
 				if aila.Mrays == 0 {
 					return "-"

@@ -4,10 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cellsched"
-	"repro/internal/harness"
 	"repro/internal/scene"
 	"repro/internal/simt"
+	"repro/internal/trace"
 )
 
 // Fig2Row is one bounce's SIMD efficiency and utilization breakdown of
@@ -20,69 +19,32 @@ type Fig2Row struct {
 	Mrays     float64
 }
 
-// fig2Result is one bounce's cell outcome; ok is false when the bounce
-// stream was empty.
-type fig2Result struct {
-	ok  bool
-	row Fig2Row
-}
-
-// Figure2 reproduces Figure 2: per-bounce SIMD efficiency and Wm:n
+// Figure2Ctx reproduces Figure 2: per-bounce SIMD efficiency and Wm:n
 // utilization breakdown of the baseline (Aila) kernel on the
-// conference room benchmark, bounces 1..8. Each bounce is a scheduler
-// cell; rows assemble in bounce order and stop at the first empty
-// bounce, matching the sequential loop exactly.
-func Figure2(p Params) ([]Fig2Row, error) {
-	return Figure2Ctx(context.Background(), p)
-}
-
-// Figure2Ctx is Figure2 with cancellation: scheduler workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier. An uncancelled call is byte-identical to
-// Figure2.
+// conference room benchmark, bounces 1..8 (Params.Bounces, 0 = all).
+// Rows stop at the first empty bounce.
 func Figure2Ctx(ctx context.Context, p Params) ([]Fig2Row, error) {
-	p = p.ensureCache()
-	w, err := p.workload(scene.ConferenceRoom)
-	if err != nil {
-		return nil, err
-	}
 	bounces := p.Bounces
-	if bounces <= 0 || bounces > len(w.Traces.Streams) {
-		bounces = len(w.Traces.Streams)
+	if bounces <= 0 || bounces > trace.MaxBounces {
+		bounces = trace.MaxBounces
 	}
-	grid := make([]cellsched.Cell[fig2Result], 0, bounces)
-	for b := 1; b <= bounces; b++ {
-		grid = append(grid, cellsched.Cell[fig2Result]{
-			Key: fmt.Sprintf("fig2/B%d", b),
-			Run: func() (fig2Result, error) {
-				if len(w.BounceRays(b, p)) == 0 {
-					return fig2Result{}, nil
-				}
-				res, err := w.simulateCtx(ctx, harness.ArchAila, b, p)
-				if err != nil {
-					return fig2Result{}, err
-				}
-				st := res.GPU.Stats
-				return fig2Result{ok: true, row: Fig2Row{
-					Bounce:    b,
-					Rays:      res.Rays,
-					Eff:       res.SIMDEff,
-					Breakdown: st.UtilizationBreakdown(p.Options.Simt.WarpSize),
-					Mrays:     res.Mrays,
-				}}, nil
-			},
-		})
-	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	res, err := runGrid(ctx, p, "fig2", []scene.Benchmark{scene.ConferenceRoom},
+		namedPoints([]string{"aila"}, p.Options), bounces)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig2Row
-	for _, r := range results {
+	for i, r := range res[0][0] {
 		if !r.ok {
 			break
 		}
-		rows = append(rows, r.row)
+		rows = append(rows, Fig2Row{
+			Bounce:    i + 1,
+			Rays:      r.rays,
+			Eff:       r.eff,
+			Breakdown: r.stats.UtilizationBreakdown(p.Options.Simt.WarpSize),
+			Mrays:     r.mrays,
+		})
 	}
 	return rows, nil
 }

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cellsched"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/scene"
 )
 
@@ -51,27 +49,11 @@ type Fig8Cell struct {
 	StallRate float64
 }
 
-// fig8Result is one cell outcome; ok is false when the bounce stream
-// was empty and the cell was skipped.
-type fig8Result struct {
-	ok   bool
-	cell Fig8Cell
-}
-
-// Figure8 reproduces Figures 8 and 9: simulated ray tracing performance
-// for the first `bounces` bounces of each scene under each backup-row
-// configuration, including the idealized DRS and Aila's method. The
-// paper evaluates bounces 1-4 with 2M rays each. Cells run on the
-// scheduler (Options.Parallelism workers) and assemble positionally,
-// so output is identical at any worker count.
-func Figure8(p Params, bounces int, scenes []scene.Benchmark) ([]Fig8Cell, error) {
-	return Figure8Ctx(context.Background(), p, bounces, scenes)
-}
-
-// Figure8Ctx is Figure8 with cancellation: scheduler workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier. An uncancelled call is byte-identical to
-// Figure8.
+// Figure8Ctx reproduces Figures 8 and 9: simulated ray tracing
+// performance for the first `bounces` bounces (<= 0 selects 4, the
+// paper's B1-B4) of each scene (nil = all four) under each backup-row
+// configuration, including the idealized DRS and Aila's method. Cells
+// with an empty bounce stream are omitted.
 func Figure8Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchmark) ([]Fig8Cell, error) {
 	if bounces <= 0 {
 		bounces = 4
@@ -79,82 +61,45 @@ func Figure8Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Bench
 	if scenes == nil {
 		scenes = scene.Benchmarks
 	}
-	p = p.ensureCache()
-
-	grid := workloadCells[fig8Result](p, scenes)
-	prefetch := len(grid)
-	for _, b := range scenes {
-		for _, cfg := range Fig8Configs() {
-			pp := p
-			arch := harness.ArchDRS
-			if cfg.Aila {
-				arch = harness.ArchAila
-			} else {
-				pp.Options.Policy = core.NewPolicy(cfg.DRS)
-			}
-			for bounce := 1; bounce <= bounces; bounce++ {
-				grid = append(grid, cellsched.Cell[fig8Result]{
-					Key: fmt.Sprintf("fig8/%s/%s/B%d", b, cfg.Label, bounce),
-					Run: func() (fig8Result, error) {
-						w, err := pp.workload(b)
-						if err != nil {
-							return fig8Result{}, err
-						}
-						if len(w.BounceRays(bounce, pp)) == 0 {
-							return fig8Result{}, nil
-						}
-						res, err := w.simulateCtx(ctx, arch, bounce, pp)
-						if err != nil {
-							return fig8Result{}, fmt.Errorf("fig8 %s %s B%d: %w", b, cfg.Label, bounce, err)
-						}
-						return fig8Result{ok: true, cell: Fig8Cell{
-							Scene:     b,
-							Bounce:    bounce,
-							Config:    cfg.Label,
-							Mrays:     res.Mrays,
-							StallRate: res.GPU.Stats.CtrlStallRate(),
-						}}, nil
-					},
-				})
-			}
+	cfgs := Fig8Configs()
+	points := make([]point, len(cfgs))
+	for i, cfg := range cfgs {
+		points[i] = point{label: cfg.Label, policy: "aila", opt: p.Options}
+		if !cfg.Aila {
+			points[i].policy = "drs"
+			points[i].opt.Policy = core.NewPolicy(cfg.DRS)
 		}
 	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	res, err := runGrid(ctx, p, "fig8", scenes, points, bounces)
 	if err != nil {
 		return nil, err
 	}
 	var cells []Fig8Cell
-	for _, r := range results[prefetch:] {
-		if r.ok {
-			cells = append(cells, r.cell)
+	for si, b := range scenes {
+		for ci, cfg := range cfgs {
+			for i, r := range res[si][ci] {
+				if r.ok {
+					cells = append(cells, Fig8Cell{
+						Scene:     b,
+						Bounce:    i + 1,
+						Config:    cfg.Label,
+						Mrays:     r.mrays,
+						StallRate: r.stats.CtrlStallRate(),
+					})
+				}
+			}
 		}
 	}
 	return cells, nil
 }
 
-// fig8Key indexes Fig8Cells for the renderers.
-type fig8Key struct {
-	scene  scene.Benchmark
-	config string
-	bounce int
-}
-
-func indexFig8Cells(cells []Fig8Cell) map[fig8Key]Fig8Cell {
-	m := make(map[fig8Key]Fig8Cell, len(cells))
-	for _, c := range cells {
-		k := fig8Key{c.Scene, c.Config, c.Bounce}
-		if _, ok := m[k]; !ok {
-			m[k] = c
-		}
-	}
-	return m
-}
+func fig8Key(c Fig8Cell) cellKey { return cellKey{c.Scene, c.Config, c.Bounce} }
 
 // RenderFigure8 prints the Mrays/s sweep, one table per scene with one
 // row per configuration and one column per bounce.
 func RenderFigure8(cells []Fig8Cell, bounces int) string {
 	out := "Figure 8: simulated ray tracing performance (Mrays/s) by backup-row configuration\n"
-	idx := indexFig8Cells(cells)
+	idx := indexCells(cells, fig8Key)
 	for _, b := range scene.Benchmarks {
 		var rows [][]string
 		for _, cfg := range Fig8Configs() {
@@ -162,7 +107,7 @@ func RenderFigure8(cells []Fig8Cell, bounces int) string {
 			found := false
 			for bounce := 1; bounce <= bounces; bounce++ {
 				v := ""
-				if c, ok := idx[fig8Key{b, cfg.Label, bounce}]; ok {
+				if c, ok := idx[cellKey{b, cfg.Label, bounce}]; ok {
 					v = f1(c.Mrays)
 					found = true
 				}
@@ -188,7 +133,7 @@ func RenderFigure8(cells []Fig8Cell, bounces int) string {
 // conference room and fairy forest benchmarks (Figure 9).
 func RenderFigure9(cells []Fig8Cell, bounces int) string {
 	out := "Figure 9: warp issue stall rate of the rdctrl instruction\n"
-	idx := indexFig8Cells(cells)
+	idx := indexCells(cells, fig8Key)
 	for _, b := range []scene.Benchmark{scene.ConferenceRoom, scene.FairyForest} {
 		var rows [][]string
 		for _, cfg := range Fig8Configs() {
@@ -199,7 +144,7 @@ func RenderFigure9(cells []Fig8Cell, bounces int) string {
 			found := false
 			for bounce := 1; bounce <= bounces; bounce++ {
 				v := ""
-				if c, ok := idx[fig8Key{b, cfg.Label, bounce}]; ok {
+				if c, ok := idx[cellKey{b, cfg.Label, bounce}]; ok {
 					v = pct(c.StallRate)
 					found = true
 				}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -23,7 +24,7 @@ func TestFigure10ParallelByteIdentical(t *testing.T) {
 		t.Helper()
 		pp := p
 		pp.Options.Parallelism = par
-		cells, err := Figure10(pp, 2, []scene.Benchmark{scene.ConferenceRoom})
+		cells, err := Figure10Ctx(context.Background(), pp, 2, []scene.Benchmark{scene.ConferenceRoom})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -55,7 +56,7 @@ func TestTable2ParallelByteIdentical(t *testing.T) {
 		t.Helper()
 		pp := p
 		pp.Options.Parallelism = par
-		cells, err := Table2(pp, 1, []scene.Benchmark{scene.FairyForest})
+		cells, err := Table2Ctx(context.Background(), pp, 1, []scene.Benchmark{scene.FairyForest})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -101,7 +102,7 @@ func TestObservedMetricsParallelIdentical(t *testing.T) {
 			grid[i] = cellsched.Cell[[]byte]{
 				Key: fmt.Sprintf("observed/%s/B%d", pr.arch, pr.bounce),
 				Run: func() ([]byte, error) {
-					res, err := w.simulate(pr.arch, pr.bounce, p)
+					res, err := harness.RunNamed(pr.arch.String(), w.BounceRays(pr.bounce, p), w.Data, p.Options)
 					if err != nil {
 						return nil, err
 					}
@@ -134,16 +135,16 @@ func TestSuiteSharedCacheBuildsOncePerScene(t *testing.T) {
 	p.Cache = NewWorkloadCache()
 	scenes := []scene.Benchmark{scene.ConferenceRoom, scene.FairyForest}
 
-	if _, err := Figure2(p); err != nil {
+	if _, err := Figure2Ctx(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure8(p, 1, scenes); err != nil {
+	if _, err := Figure8Ctx(context.Background(), p, 1, scenes); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Table2(p, 1, scenes); err != nil {
+	if _, err := Table2Ctx(context.Background(), p, 1, scenes); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Figure10(p, 1, scenes); err != nil {
+	if _, err := Figure10Ctx(context.Background(), p, 1, scenes); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/archconfig"
-	"repro/internal/cellsched"
 	"repro/internal/harness"
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // SweepCell is one (architecture, scheduler, scene, policy) outcome of
@@ -43,42 +41,13 @@ var SweepPolicies = []string{"aila", "drs"}
 // 2 policies x bounces) tractable at full scale.
 var SweepScenes = []scene.Benchmark{scene.ConferenceRoom, scene.CrytekSponza}
 
-// sweepResult is one (arch, sched, scene, policy, bounce) simulation
-// outcome before the overall aggregation.
-type sweepResult struct {
-	ok    bool // false: the bounce stream was empty, cell skipped
-	stats simt.Stats
-	rays  int
-	cost  int64
-}
-
-// sweepDev is one architecture point: the options with the device
-// model applied, plus the figures the aggregation needs from the
-// config itself.
-type sweepDev struct {
-	opt      harness.Options
-	clockMHz int
-	warpSize int
-}
-
-// SweepsFigure runs the cross-architecture x scheduler sweep: every
+// SweepsFigureCtx runs the cross-architecture x scheduler sweep: every
 // builtin device model in SweepArchs crossed with every warp scheduler
 // in SweepScheds, measuring the Aila baseline and DRS (SweepPolicies)
 // on each point and reporting the merged-bounce efficiency, rate, and
 // drs-over-aila speedup. Scenes defaults to SweepScenes; bounces <= 0
-// selects 4.
-//
-// Every (arch, sched, scene, policy, bounce) simulation is an
-// independent scheduler cell; the grid runs on Options.Parallelism
-// workers and rows are assembled positionally in canonical order, so
-// the output is byte-identical at any worker count (drsbench -par N).
-func SweepsFigure(p Params, bounces int, scenes []scene.Benchmark) ([]SweepCell, error) {
-	return SweepsFigureCtx(context.Background(), p, bounces, scenes)
-}
-
-// SweepsFigureCtx is SweepsFigure with cancellation: workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier.
+// selects 4. Each point applies its device model (harness.ApplyArch)
+// and scheduler on top of Params.Options, replacing the caller's.
 func SweepsFigureCtx(ctx context.Context, p Params, bounces int, scenes []scene.Benchmark) ([]SweepCell, error) {
 	if bounces <= 0 {
 		bounces = 4
@@ -86,12 +55,10 @@ func SweepsFigureCtx(ctx context.Context, p Params, bounces int, scenes []scene.
 	if scenes == nil {
 		scenes = SweepScenes
 	}
-	p = p.ensureCache()
-
-	// Resolve every architecture point up front: a bad builtin name or
-	// a config the validator rejects fails the whole figure before any
+	// Resolve every architecture up front: a bad builtin name or a
+	// config the validator rejects fails the whole figure before any
 	// cell runs.
-	devs := make(map[string]sweepDev, len(SweepArchs))
+	var points []point
 	for _, a := range SweepArchs {
 		ac, err := archconfig.Builtin(a)
 		if err != nil {
@@ -101,98 +68,44 @@ func SweepsFigureCtx(ctx context.Context, p Params, bounces int, scenes []scene.
 		if err != nil {
 			return nil, fmt.Errorf("sweeps %s: %w", a, err)
 		}
-		devs[a] = sweepDev{opt: opt, clockMHz: ac.ClockMHz, warpSize: ac.WarpWidth}
-	}
-
-	grid := workloadCells[sweepResult](p, scenes)
-	prefetch := len(grid)
-	for _, a := range SweepArchs {
 		for _, sched := range SweepScheds {
-			for _, b := range scenes {
-				for _, pol := range SweepPolicies {
-					for bounce := 1; bounce <= bounces; bounce++ {
-						pp := p
-						pp.Options = devs[a].opt
-						pp.Options.Sched = sched
-						grid = append(grid, cellsched.Cell[sweepResult]{
-							Key: fmt.Sprintf("sweeps/%s/%s/%s/%s/B%d", a, sched, b, pol, bounce),
-							Run: func() (sweepResult, error) {
-								w, err := p.workload(b)
-								if err != nil {
-									return sweepResult{}, err
-								}
-								if len(w.BounceRays(bounce, pp)) == 0 {
-									return sweepResult{}, nil
-								}
-								res, err := w.simulateNamedCtx(ctx, pol, bounce, pp)
-								if err != nil {
-									return sweepResult{}, fmt.Errorf("sweeps %s/%s %s %s B%d: %w", a, sched, b, pol, bounce, err)
-								}
-								return sweepResult{
-									ok:    true,
-									stats: res.GPU.Stats,
-									rays:  res.Rays,
-									cost:  res.Reorder.CostCycles,
-								}, nil
-							},
-						})
-					}
-				}
+			opt.Sched = sched
+			for _, pol := range SweepPolicies {
+				points = append(points, point{label: a + "/" + sched + "/" + pol, policy: pol, opt: opt})
 			}
 		}
 	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	res, err := runGrid(ctx, p, "sweeps", scenes, points, bounces)
 	if err != nil {
 		return nil, err
 	}
-	results = results[prefetch:]
-
+	// Cells list arch, sched, scene, policy in that order; the points
+	// of one (arch, sched) pair are consecutive from first.
 	var cells []SweepCell
-	i := 0
+	first := 0
 	for _, a := range SweepArchs {
-		dev := devs[a]
 		for _, sched := range SweepScheds {
-			for _, b := range scenes {
-				for _, pol := range SweepPolicies {
-					var overall simt.Stats
-					var cycleSum, costSum int64
-					rays := 0
-					for bounce := 1; bounce <= bounces; bounce++ {
-						r := results[i]
-						i++
-						if !r.ok {
-							continue
-						}
-						overall.Add(r.stats)
-						cycleSum += r.stats.Cycles
-						costSum += r.cost
-						rays += r.rays
-					}
-					// Like the policies figure's overall row: total rays
-					// over the total cycles of all bounce launches plus
-					// any modeled out-of-engine reordering cost, at the
-					// architecture's own clock and warp width.
-					overall.Cycles = cycleSum + costSum
+			for si, b := range scenes {
+				for k, pol := range SweepPolicies {
+					pt := first + k
+					all := merge(res[si][pt], points[pt].opt)
 					cells = append(cells, SweepCell{
 						Arch: a, Sched: sched, Scene: b, Policy: pol,
-						Rays:   rays,
-						Cycles: overall.Cycles,
-						Eff:    overall.SIMDEfficiency(dev.warpSize),
-						Mrays:  overall.MraysPerSec(int64(rays), dev.clockMHz),
+						Rays:   all.rays,
+						Cycles: all.stats.Cycles,
+						Eff:    all.eff,
+						Mrays:  all.mrays,
 					})
 				}
 			}
+			first += len(SweepPolicies)
 		}
 	}
 	return cells, nil
 }
 
-// sweepKey indexes SweepCells for the renderer.
-type sweepKey struct {
-	arch   string
-	sched  string
-	scene  scene.Benchmark
-	policy string
+func sweepKey(c SweepCell) cellKey {
+	return cellKey{scene: c.Scene, point: c.Arch + "/" + c.Sched + "/" + c.Policy}
 }
 
 // RenderSweeps prints the sweep: per architecture, scheduler, and
@@ -201,20 +114,14 @@ type sweepKey struct {
 func RenderSweeps(cells []SweepCell) string {
 	out := "Architecture x scheduler sweep: aila vs drs across device models\n"
 	header := []string{"arch", "sched", "scene", "policy", "SIMD eff", "Mrays/s", "x aila"}
-	idx := make(map[sweepKey]SweepCell, len(cells))
-	for _, c := range cells {
-		k := sweepKey{c.Arch, c.Sched, c.Scene, c.Policy}
-		if _, ok := idx[k]; !ok {
-			idx[k] = c
-		}
-	}
+	idx := indexCells(cells, sweepKey)
 	var rows [][]string
 	for _, a := range SweepArchs {
 		for _, sched := range SweepScheds {
 			for _, b := range scene.Benchmarks {
-				aila, haveAila := idx[sweepKey{a, sched, b, "aila"}]
+				aila, haveAila := idx[cellKey{scene: b, point: a + "/" + sched + "/aila"}]
 				for _, pol := range SweepPolicies {
-					c, ok := idx[sweepKey{a, sched, b, pol}]
+					c, ok := idx[cellKey{scene: b, point: a + "/" + sched + "/" + pol}]
 					if !ok {
 						continue
 					}

@@ -3,10 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strconv"
 
-	"repro/internal/cellsched"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/scene"
 )
 
@@ -24,26 +23,10 @@ type Table2Cell struct {
 // Table2Buffers is the paper's swap-buffer sweep.
 var Table2Buffers = []int{6, 9, 12, 18}
 
-// table2Result is one cell outcome; ok is false when the bounce stream
-// was empty and the cell was skipped.
-type table2Result struct {
-	ok   bool
-	cell Table2Cell
-}
-
-// Table2 reproduces Table 2: ray tracing performance under 6, 9, 12
-// and 18 swap buffers, for the first `bounces` bounces of each scene
-// (the paper evaluates B1-B4). Cells run on the scheduler
-// (Options.Parallelism workers) and assemble positionally, so output
-// is identical at any worker count.
-func Table2(p Params, bounces int, scenes []scene.Benchmark) ([]Table2Cell, error) {
-	return Table2Ctx(context.Background(), p, bounces, scenes)
-}
-
-// Table2Ctx is Table2 with cancellation: scheduler workers stop
-// claiming cells once ctx is done and in-flight device runs abort at
-// their next epoch barrier. An uncancelled call is byte-identical to
-// Table2.
+// Table2Ctx reproduces Table 2: ray tracing performance under 6, 9, 12
+// and 18 swap buffers, for the first `bounces` bounces (<= 0 selects
+// 4, the paper's B1-B4) of each scene (nil = all four). Cells with an
+// empty bounce stream are omitted.
 func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchmark) ([]Table2Cell, error) {
 	if bounces <= 0 {
 		bounces = 4
@@ -51,62 +34,37 @@ func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchm
 	if scenes == nil {
 		scenes = scene.Benchmarks
 	}
-	p = p.ensureCache()
-
-	grid := workloadCells[table2Result](p, scenes)
-	prefetch := len(grid)
-	for _, b := range scenes {
-		for _, bufs := range Table2Buffers {
-			pp := p
-			cfg := core.DefaultConfig()
-			cfg.SwapBuffers = bufs
-			pp.Options.Policy = core.NewPolicy(cfg)
-			for bounce := 1; bounce <= bounces; bounce++ {
-				grid = append(grid, cellsched.Cell[table2Result]{
-					Key: fmt.Sprintf("table2/%s/#%d/B%d", b, bufs, bounce),
-					Run: func() (table2Result, error) {
-						w, err := pp.workload(b)
-						if err != nil {
-							return table2Result{}, err
-						}
-						if len(w.BounceRays(bounce, pp)) == 0 {
-							return table2Result{}, nil
-						}
-						res, err := w.simulateCtx(ctx, harness.ArchDRS, bounce, pp)
-						if err != nil {
-							return table2Result{}, fmt.Errorf("table2 %s #%d B%d: %w", b, bufs, bounce, err)
-						}
-						return table2Result{ok: true, cell: Table2Cell{
-							Scene:          b,
-							Bounce:         bounce,
-							Buffers:        bufs,
-							Mrays:          res.Mrays,
-							MeanSwapCycles: res.DRS.MeanSwapCycles(),
-						}}, nil
-					},
-				})
-			}
-		}
+	points := make([]point, len(Table2Buffers))
+	for i, bufs := range Table2Buffers {
+		cfg := core.DefaultConfig()
+		cfg.SwapBuffers = bufs
+		points[i] = point{label: fmt.Sprintf("#%d", bufs), policy: "drs", opt: p.Options}
+		points[i].opt.Policy = core.NewPolicy(cfg)
 	}
-	results, err := cellsched.RunCtx(ctx, grid, p.par())
+	res, err := runGrid(ctx, p, "table2", scenes, points, bounces)
 	if err != nil {
 		return nil, err
 	}
 	var cells []Table2Cell
-	for _, r := range results[prefetch:] {
-		if r.ok {
-			cells = append(cells, r.cell)
+	for si, b := range scenes {
+		for bi, bufs := range Table2Buffers {
+			for i, r := range res[si][bi] {
+				if r.ok {
+					cells = append(cells, Table2Cell{
+						Scene:          b,
+						Bounce:         i + 1,
+						Buffers:        bufs,
+						Mrays:          r.mrays,
+						MeanSwapCycles: r.meanSwapCycles,
+					})
+				}
+			}
 		}
 	}
 	return cells, nil
 }
 
-// table2Key indexes Table2Cells for the renderer.
-type table2Key struct {
-	scene   scene.Benchmark
-	bounce  int
-	buffers int
-}
+func table2Key(c Table2Cell) cellKey { return cellKey{c.Scene, strconv.Itoa(c.Buffers), c.Bounce} }
 
 // RenderTable2 prints the swap-buffer sweep in the paper's layout:
 // scenes and bounces as rows, buffer counts as columns.
@@ -115,13 +73,7 @@ func RenderTable2(cells []Table2Cell, bounces int) string {
 	for _, bufs := range Table2Buffers {
 		header = append(header, fmt.Sprintf("#%d", bufs))
 	}
-	idx := make(map[table2Key]Table2Cell, len(cells))
-	for _, c := range cells {
-		k := table2Key{c.Scene, c.Bounce, c.Buffers}
-		if _, ok := idx[k]; !ok {
-			idx[k] = c
-		}
-	}
+	idx := indexCells(cells, table2Key)
 	var rows [][]string
 	for _, b := range scene.Benchmarks {
 		for bounce := 1; bounce <= bounces; bounce++ {
@@ -129,7 +81,7 @@ func RenderTable2(cells []Table2Cell, bounces int) string {
 			found := false
 			for _, bufs := range Table2Buffers {
 				v := ""
-				if c, ok := idx[table2Key{b, bounce, bufs}]; ok {
+				if c, ok := idx[cellKey{b, strconv.Itoa(bufs), bounce}]; ok {
 					v = f1(c.Mrays)
 					found = true
 				}
