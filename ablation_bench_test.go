@@ -14,7 +14,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/render"
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // ablationWorkload builds one incoherent-bounce workload shared by the
@@ -37,18 +36,18 @@ func ablationWorkload(b *testing.B) (*kernels.SceneData, []geom.Ray) {
 }
 
 // BenchmarkAblationScheduler compares greedy-then-oldest (Table 1)
-// against round-robin scheduling for the DRS kernel.
+// against loose round-robin scheduling for the DRS kernel.
 func BenchmarkAblationScheduler(b *testing.B) {
 	data, rays := ablationWorkload(b)
 	for i := 0; i < b.N; i++ {
-		for _, pol := range []simt.SchedPolicy{simt.SchedGTO, simt.SchedRR} {
+		for _, sched := range []string{"gto", "lrr"} {
 			opt := harness.DefaultOptions()
-			opt.Simt.Scheduler = pol
+			opt.Sched = sched
 			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(r.Mrays, pol.String()+"-Mrays")
+			b.ReportMetric(r.Mrays, sched+"-Mrays")
 		}
 	}
 }

@@ -270,8 +270,8 @@ func validName(s string) bool {
 }
 
 // Simt translates the device model into the engine configuration.
-// Runtime knobs that are not device shape — Engine, EpochCycles,
-// MaxCycles, Collector, the scheduler factory — are left zero for the
+// Runtime knobs that are not device shape — EpochCycles, MaxCycles,
+// Collector, the scheduler factory — are left zero for the
 // caller (harness.ApplyArch preserves them from the base options).
 // MaxWarpsPerSMX carries WarpsPerSMX; the harness still substitutes a
 // policy's own warp count exactly as it does for the hard-coded

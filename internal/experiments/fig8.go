@@ -64,10 +64,10 @@ func Figure8Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Bench
 	cfgs := Fig8Configs()
 	points := make([]point, len(cfgs))
 	for i, cfg := range cfgs {
-		points[i] = point{label: cfg.Label, policy: "aila", opt: p.Options}
-		if !cfg.Aila {
-			points[i].policy = "drs"
-			points[i].opt.Policy = core.NewPolicy(cfg.DRS)
+		if cfg.Aila {
+			points[i] = point{label: cfg.Label, policy: "aila", opt: p.Options}
+		} else {
+			points[i] = pinnedPoint(cfg.Label, core.NewPolicy(cfg.DRS), p.Options)
 		}
 	}
 	res, err := runGrid(ctx, p, "fig8", scenes, points, bounces)

@@ -13,11 +13,19 @@ import (
 
 // point is one method configuration of a figure: the label that names
 // it in cell keys and errors, the registered policy it runs, and the
-// options it runs with (device model, pinned policy, scheduler).
+// options it runs with (device model, policy overrides, scheduler).
 type point struct {
 	label  string
 	policy string
 	opt    harness.Options
+}
+
+// pinnedPoint returns a point that runs the configured instance pol.
+// pol is prepended to opt's overrides, so it beats any later override
+// of the same name, such as the DRS budget ApplyArch appends.
+func pinnedPoint(label string, pol reorder.Policy, opt harness.Options) point {
+	opt.PolicyOverrides = append([]reorder.Policy{pol}, opt.PolicyOverrides...)
+	return point{label: label, policy: pol.Name(), opt: opt}
 }
 
 // namedPoints returns one point per policy name, each run with opt.

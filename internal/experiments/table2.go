@@ -38,8 +38,7 @@ func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchm
 	for i, bufs := range Table2Buffers {
 		cfg := core.DefaultConfig()
 		cfg.SwapBuffers = bufs
-		points[i] = point{label: fmt.Sprintf("#%d", bufs), policy: "drs", opt: p.Options}
-		points[i].opt.Policy = core.NewPolicy(cfg)
+		points[i] = pinnedPoint(fmt.Sprintf("#%d", bufs), core.NewPolicy(cfg), p.Options)
 	}
 	res, err := runGrid(ctx, p, "table2", scenes, points, bounces)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/archconfig"
 	"repro/internal/core"
 	"repro/internal/scene"
-	"repro/internal/simt"
 	"repro/internal/warpsched"
 )
 
@@ -52,12 +51,11 @@ func TestApplyArchGTX780Identity(t *testing.T) {
 	}
 }
 
-// ApplyArch must keep the caller's runtime knobs (engine selection,
-// cycle caps, an explicit scheduler choice, existing overrides) and
-// only replace device shape.
+// ApplyArch must keep the caller's runtime knobs (epoch length, cycle
+// caps, an explicit scheduler choice, existing overrides) and only
+// replace device shape.
 func TestApplyArchPreservesRuntime(t *testing.T) {
 	base := smallOptions()
-	base.Simt.Engine = simt.EngineFree
 	base.Simt.EpochCycles = 512
 	base.Simt.MaxCycles = 123456
 	base.Sched = "wasp"
@@ -67,7 +65,7 @@ func TestApplyArchPreservesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Simt.Engine != simt.EngineFree || got.Simt.EpochCycles != 512 || got.Simt.MaxCycles != 123456 {
+	if got.Simt.EpochCycles != 512 || got.Simt.MaxCycles != 123456 {
 		t.Errorf("runtime knobs not preserved: %+v", got.Simt)
 	}
 	if got.Simt.NumSMX != 48 {
@@ -148,8 +146,8 @@ func TestArchEquivalenceReduced(t *testing.T) {
 }
 
 // An explicit Sched "gto" must be byte-identical to the default (the
-// registry policy wraps the same canonical scan the enum runs).
-func TestRunSchedGTOByteIdentical(t *testing.T) {
+// registry policy wraps the engine's canonical scan).
+func TestRunExplicitGTOByteIdentical(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays
 
@@ -208,38 +206,6 @@ func TestRunSchedRegistryEndToEnd(t *testing.T) {
 			}
 			verifyHits(t, name, rays, a.Hits, bv)
 		})
-	}
-}
-
-// A pinned Scheduler instance with non-default configuration runs, and
-// a Sched name contradicting the pin is rejected with a typed error.
-func TestSchedulerPin(t *testing.T) {
-	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 600)
-	rays := traces.Bounce(2).Rays
-
-	opt := smallOptions()
-	opt.Scheduler = warpsched.WaSP{Runners: 3, Distance: 16}
-	res, err := RunNamed("aila", rays, data, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sched != "wasp" {
-		t.Errorf("Result.Sched = %q, want wasp", res.Sched)
-	}
-
-	opt.Sched = "lrr"
-	_, err = RunNamed("aila", rays, data, opt)
-	oe, ok := AsOptionsError(err)
-	if !ok || oe.Field != "Scheduler" {
-		t.Fatalf("want Scheduler OptionsError, got %v", err)
-	}
-
-	opt.Sched = ""
-	opt.Scheduler = warpsched.WaSP{Runners: 0, Distance: 16}
-	_, err = RunNamed("aila", rays, data, opt)
-	oe, ok = AsOptionsError(err)
-	if !ok || oe.Field != "Sched" {
-		t.Fatalf("want Sched OptionsError for invalid wasp config, got %v", err)
 	}
 }
 

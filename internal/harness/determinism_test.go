@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // The quickstart configuration (conference room, incoherent secondary
@@ -51,8 +51,8 @@ func TestQuickstartConfigurationBitReproducible(t *testing.T) {
 	}
 }
 
-// The harness's determinism assertion mode must pass on the default
-// (epoch) engine for all four architectures.
+// The harness's determinism assertion mode must pass on the
+// epoch-barrier engine for all four architectures.
 func TestCheckDeterminismPassesOnEpochEngine(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.CrytekSponza, 1200)
 	rays := traces.Bounce(2).Rays
@@ -69,21 +69,51 @@ func TestCheckDeterminismPassesOnEpochEngine(t *testing.T) {
 	}
 }
 
-// The legacy free-running engine must still complete and produce
-// correct hits (its timing is allowed to jitter; that is why it is no
-// longer the default).
-func TestFreeEngineStillTraces(t *testing.T) {
-	data, traces, bv := testWorkload(t, scene.FairyForest, 1200)
+// A simulated number must not depend on the epoch length, a simulator
+// artifact. On one SMX the ordered L2 drain sees only that SMX's
+// requests in issue order, so every registered policy must produce the
+// same device results at any epoch length, including one clamped to
+// the minimum L2-bound latency.
+//
+// With two or more SMXs this does not hold yet: the epoch length
+// decides how the SMXs' L2 requests interleave in the drain, and with
+// it the L2 hit/miss pattern, so several policies' cycle counts move by
+// up to a few percent between epoch lengths (ser the most). That is a
+// known open problem, not pinned here.
+func TestEpochLengthInvariantOnOneSMX(t *testing.T) {
+	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1500)
 	rays := traces.Bounce(2).Rays
-	if len(rays) > 1500 {
-		rays = rays[:1500]
+	for _, name := range Policies().Names() {
+		t.Run(name, func(t *testing.T) {
+			var ref *Result
+			for _, epoch := range []int{1, 7, 64, 1 << 20} {
+				opt := smallOptions()
+				opt.Simt.NumSMX = 1
+				opt.Simt.EpochCycles = epoch
+				res, err := RunNamed(name, rays, data, opt)
+				if err != nil {
+					t.Fatalf("epoch %d: %v", epoch, err)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				switch {
+				case res.GPU.Stats != ref.GPU.Stats:
+					t.Errorf("epoch %d: device stats diverged from epoch 1: cycles %d vs %d",
+						epoch, res.GPU.Stats.Cycles, ref.GPU.Stats.Cycles)
+				case !reflect.DeepEqual(res.GPU.PerSMX, ref.GPU.PerSMX):
+					t.Errorf("epoch %d: per-SMX stats diverged from epoch 1", epoch)
+				case res.GPU.L1TexMissRate != ref.GPU.L1TexMissRate:
+					t.Errorf("epoch %d: L1Tex miss rate %v, epoch 1 %v",
+						epoch, res.GPU.L1TexMissRate, ref.GPU.L1TexMissRate)
+				case res.GPU.RFStats != ref.GPU.RFStats:
+					t.Errorf("epoch %d: register file counters diverged from epoch 1", epoch)
+				}
+			}
+			if ref.GPU.Stats.MemTransactions == 0 {
+				t.Fatal("workload performed no memory transactions; the test is vacuous")
+			}
+		})
 	}
-	opt := smallOptions()
-	opt.Simt.Engine = simt.EngineFree
-	opt.Simt.NumSMX = 3
-	res, err := Run(ArchDRS, rays, data, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyHits(t, "free-engine/drs", rays, res.Hits, bv)
 }

@@ -144,29 +144,20 @@ type Options struct {
 	Aila kernels.AilaConfig
 	// WhileIf configures Kernel 1 for the DRS policy.
 	WhileIf kernels.WhileIfConfig
-	// Policy pins the run to one configured policy instance. The run's
-	// requested name must match Policy.Name(); use this to run a policy
-	// with non-default configuration (e.g. core.NewPolicy(customCfg)).
-	Policy reorder.Policy
 	// PolicyOverrides supplies configured policy instances for named
 	// lookups: a run asking for a name found here (first match wins)
-	// uses the override instead of the registry default. Unlike Policy
-	// it can hold several policies at once, so one Options can carry
-	// custom configurations across a multi-policy grid.
+	// uses the override instead of the registry default. Use it to run
+	// a policy with non-default configuration (e.g.
+	// core.NewPolicy(customCfg)); one Options can carry custom
+	// configurations across a multi-policy grid.
 	PolicyOverrides []reorder.Policy
 	// Sched names the warp-scheduler policy for the run ("gto", "lrr",
-	// "wasp"; Schedulers().Names() lists them). Empty keeps the device
-	// default — the Simt.Scheduler enum, i.e. historical GTO — which is
-	// byte-identical to an explicit "gto": both run the engine's
-	// canonical greedy-then-oldest scan. A non-empty name is resolved
-	// through the registry and devirtualized at NewSMX, overriding the
-	// legacy enum.
+	// "wasp"; Schedulers().Names() lists them), resolved through the
+	// registry and devirtualized at NewSMX. Empty leaves
+	// Simt.SchedFactory in charge; when that is nil too the engine
+	// runs its canonical greedy-then-oldest scan, byte-identical to an
+	// explicit "gto".
 	Sched string
-	// Scheduler pins the run to one configured scheduler instance
-	// (e.g. warpsched.WaSP{Runners: 4, Distance: 128}). When set, Sched
-	// must be empty or match Scheduler.Name(). Use it for non-default
-	// scheduler parameters, like Policy for reordering policies.
-	Scheduler warpsched.Scheduler
 	// SkipProgCheck disables the progcheck verification of the kernel
 	// program at build time (both the constructors' self-check and the
 	// harness's policy-capability check). Only for tests that run
@@ -176,9 +167,7 @@ type Options struct {
 	// whole simulation runs twice and Run fails if the two runs' device
 	// stats (cycles, instruction counts, cache and register-file
 	// counters) differ in any way. It doubles the runtime; use it when
-	// validating engine changes. The epoch-barrier engine (the default
-	// simt.EngineEpoch) must always pass; the legacy simt.EngineFree
-	// engine is expected to fail it on multi-SMX configurations. With
+	// validating engine changes, which must always pass it. With
 	// Observe set the comparison also covers the full metrics registry,
 	// naming the exact counter that diverged.
 	CheckDeterminism bool
@@ -212,7 +201,7 @@ type Options struct {
 
 // DefaultOptions returns the paper's configuration: Table 1 GPU,
 // 48-warp Aila kernel with speculative traversal; policy configuration
-// comes from each policy's own defaults (override with Policy or
+// comes from each policy's own defaults (override with
 // PolicyOverrides).
 func DefaultOptions() Options {
 	return Options{
@@ -223,20 +212,11 @@ func DefaultOptions() Options {
 }
 
 // ResolvePolicy maps a run name to the policy instance that will serve
-// it: Options.Policy if set (its name must match), else the first
-// matching entry of Options.PolicyOverrides, else the registry default
-// for the name. Unknown names fail with *reorder.UnknownPolicyError —
-// the registry is the only place a name is judged.
+// it: the first matching entry of Options.PolicyOverrides, else the
+// registry default for the name. Unknown names fail with
+// *reorder.UnknownPolicyError — the registry is the only place a name
+// is judged.
 func (o Options) ResolvePolicy(name string) (reorder.Policy, error) {
-	if o.Policy != nil {
-		if o.Policy.Name() != name {
-			return nil, &OptionsError{
-				Field:  "Policy",
-				Reason: fmt.Sprintf("configured policy %q cannot serve a %q run", o.Policy.Name(), name),
-			}
-		}
-		return o.Policy, nil
-	}
 	for _, p := range o.PolicyOverrides {
 		if p != nil && p.Name() == name {
 			return p, nil
@@ -245,22 +225,11 @@ func (o Options) ResolvePolicy(name string) (reorder.Policy, error) {
 	return Policies().New(name)
 }
 
-// ResolveScheduler maps the options' scheduler request to the instance
-// that will serve it: Options.Scheduler if set (Sched, when also set,
-// must match its name), else the registry default for Options.Sched,
-// else nil — meaning the legacy Simt.Scheduler enum stays in charge.
-// Unknown names fail with *warpsched.UnknownSchedulerError — the
-// registry is the only place a name is judged.
+// ResolveScheduler maps Options.Sched to the registry instance that
+// will serve it, or nil for an empty Sched. Unknown names fail with
+// *warpsched.UnknownSchedulerError — the registry is the only place a
+// name is judged.
 func (o Options) ResolveScheduler() (warpsched.Scheduler, error) {
-	if o.Scheduler != nil {
-		if o.Sched != "" && o.Sched != o.Scheduler.Name() {
-			return nil, &OptionsError{
-				Field:  "Scheduler",
-				Reason: fmt.Sprintf("configured scheduler %q cannot serve a %q run", o.Scheduler.Name(), o.Sched),
-			}
-		}
-		return o.Scheduler, nil
-	}
 	if o.Sched == "" {
 		return nil, nil
 	}
@@ -307,9 +276,8 @@ type Result struct {
 	// Metrics is the end-of-run snapshot of the unified registry
 	// (Options.Observe only).
 	Metrics *metrics.Snapshot
-	// Series is the per-epoch time-series (Options.Observe on the
-	// epoch-barrier engine; empty on the free engine, which has no
-	// deterministic sampling points).
+	// Series is the per-epoch time-series, sampled at every epoch
+	// barrier (Options.Observe only).
 	Series *metrics.Series
 }
 
@@ -405,14 +373,14 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 		cfg.MaxWarpsPerSMX = opt.AilaWarps
 	}
 	// Resolve the warp scheduler. A requested policy is devirtualized
-	// through its factory at NewSMX; no request leaves the legacy enum
-	// (historical GTO/RR) in charge, which an explicit "gto" matches
-	// byte-for-byte — registry GTO and the enum run the same scan.
+	// through its factory at NewSMX; no request leaves the engine's
+	// canonical GTO scan in charge, which an explicit "gto" matches
+	// byte-for-byte — registry GTO wraps the same scan.
 	sched, err := opt.ResolveScheduler()
 	if err != nil {
 		return nil, err
 	}
-	schedName := cfg.Scheduler.String()
+	schedName := "gto"
 	if sched != nil {
 		cfg.SchedFactory = sched.Factory()
 		schedName = sched.Name()

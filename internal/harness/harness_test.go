@@ -159,7 +159,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	idealCfg := core.DefaultConfig()
 	idealCfg.WarpsOverride = 8
 	idealCfg.Ideal = true
-	opt.Policy = core.NewPolicy(idealCfg)
+	opt.PolicyOverrides = []reorder.Policy{core.NewPolicy(idealCfg)}
 	ideal, err := Run(ArchDRS, rays, data, opt)
 	if err != nil {
 		t.Fatal(err)

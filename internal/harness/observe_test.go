@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/scene"
-	"repro/internal/simt"
 )
 
 // gaugeColumns are series columns that sample instantaneous state; every
@@ -35,7 +35,7 @@ func TestSeriesTotalsMatchRegistry(t *testing.T) {
 			t.Fatalf("%v: %v", arch, err)
 		}
 		if res.Series == nil || res.Series.Len() == 0 {
-			t.Fatalf("%v: no epoch samples (engine %v)", arch, opt.Simt.Engine)
+			t.Fatalf("%v: no epoch samples", arch)
 		}
 		checked := 0
 		for _, col := range res.Series.Columns() {
@@ -133,16 +133,21 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Errorf("slices cover %d threads, want one per SMX (%d)", len(threads), res.Config.NumSMX)
 	}
 
-	// The free engine records no epoch series: the exporter must refuse
-	// with a pointed error, not emit an empty trace.
-	freeOpt := opt
-	freeOpt.Simt.Engine = simt.EngineFree
-	freeRes, err := Run(ArchAila, rays, data, freeOpt)
+	// The process is named after the policy that ran, including the
+	// policies outside the legacy Arch enum.
+	if got := processName(t, tr); got != "gpu/drs" {
+		t.Errorf("process name = %q, want gpu/drs", got)
+	}
+	serRes, err := RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := freeRes.ChromeTrace(); err == nil {
-		t.Error("ChromeTrace on the free engine should fail (no epoch samples)")
+	serTr, err := serRes.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := processName(t, serTr); got != "gpu/ser" {
+		t.Errorf("ser process name = %q, want gpu/ser", got)
 	}
 
 	// And with Observe off there is no series at all.
@@ -153,4 +158,32 @@ func TestChromeTraceExport(t *testing.T) {
 	if _, err := plain.ChromeTrace(); err == nil {
 		t.Error("ChromeTrace without Options.Observe should fail")
 	}
+}
+
+// processName returns the name of the trace's process_name metadata
+// event.
+func processName(t *testing.T, trace *metrics.Trace) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := trace.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tr struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tr); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	for _, ev := range tr.TraceEvents {
+		if ev.Name == "process_name" {
+			return ev.Args.Name
+		}
+	}
+	t.Fatal("trace has no process_name event")
+	return ""
 }

@@ -112,7 +112,7 @@ func (o Options) validateResolved(pol reorder.Policy) error {
 		}
 	}
 	// The device config has its own validator (warp size, SMX count,
-	// clock, engine); surface its verdict under one field so callers see
+	// clock, epoch length); surface its verdict under one field so callers see
 	// the same typed error shape for every rejection. Substitute the
 	// policy's warp count the same way runOnce will before validating.
 	cfg := o.Simt

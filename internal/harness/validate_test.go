@@ -44,11 +44,6 @@ func TestValidateRejections(t *testing.T) {
 			field: "Policy",
 		},
 		{
-			name: "pinned policy name mismatch", arch: ArchDMK,
-			mutate: func(o *Options) { o.Policy = core.NewPolicy(core.DefaultConfig()) },
-			field:  "Policy",
-		},
-		{
 			name: "unknown architecture", arch: Arch(99),
 			mutate: func(o *Options) {},
 			field:  "Arch",

@@ -142,8 +142,9 @@ func (c *cache) access(addr uint64) bool {
 // safe for concurrent use by the per-SMX goroutines, but its LRU and
 // eviction state mutates in whatever order the goroutine scheduler
 // interleaves the accesses, so multi-SMX cycle counts vary run to run.
-// The deterministic engine uses OrderedL2 instead; this remains for the
-// single-SMX examples and the legacy free-running engine.
+// The device engine (simt.RunGPU) uses OrderedL2 instead; this remains
+// for standalone single-SMX runs (examples, tests) and as the reference
+// the ordered L2 is checked against.
 type L2 struct {
 	mu sync.Mutex
 	c  *cache
@@ -166,15 +167,6 @@ func (l *L2) Stats() CacheStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.c.stats
-}
-
-// RegisterMetrics registers the L2 counters under prefix ("l2"). The
-// gauges take the lock, so they are safe to sample while SMX goroutines
-// run (the free engine) — though only end-of-run snapshots are
-// meaningful there.
-func (l *L2) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	reg.Gauge(prefix+"/accesses", func() int64 { return l.Stats().Accesses })
-	reg.Gauge(prefix+"/misses", func() int64 { return l.Stats().Misses })
 }
 
 // ReqID identifies one request within an L2Port's current epoch queue.

@@ -87,7 +87,7 @@ func TestSERReordersIncoherentRays(t *testing.T) {
 	rays, data, _ := workload(t)
 	cfg := ser.DefaultConfig()
 	opt := smallOptions()
-	opt.Policy = ser.NewPolicy(cfg)
+	opt.PolicyOverrides = []reorder.Policy{ser.NewPolicy(cfg)}
 	res, err := harness.RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestSERTinyWindowSerializes(t *testing.T) {
 	cfg := ser.DefaultConfig()
 	cfg.WindowSize = 1 // below any MinDivergence split
 	opt := smallOptions()
-	opt.Policy = ser.NewPolicy(cfg)
+	opt.PolicyOverrides = []reorder.Policy{ser.NewPolicy(cfg)}
 	res, err := harness.RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -102,7 +102,7 @@ type JobSpec struct {
 	// scheduler registry (see drsbench -list-scheds). Valid on every
 	// kind. Optional: omission keeps the device default (GTO), and
 	// Normalize folds an explicit "gto" back to empty — the registry gto
-	// is byte-identical to the historical enum scheduler, so the fold
+	// is byte-identical to the engine's default GTO scan, so the fold
 	// collapses two spellings of the same simulation into one address.
 	//drslint:allow spec-hash -- omitempty is required for content-address backward compatibility; Normalize folds the default scheduler name so empty-vs-gto is canonical, not ambiguous
 	Sched string `json:"sched,omitempty"`

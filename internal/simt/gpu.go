@@ -41,23 +41,22 @@ type GPUResult struct {
 	RFStats regfile.Stats
 }
 
-// RunGPU simulates the whole device: one goroutine per SMX over a
-// shared L2, under the engine selected by cfg.Engine. Device cycles are
-// the max over SMXs (they interact only through the L2 in these
-// workloads). The default EngineEpoch makes the run bit-reproducible;
-// see the Engine constants.
+// RunGPU simulates the whole device on the epoch-barrier engine: one
+// goroutine per SMX over a shared L2 whose accesses drain in a fixed
+// order at every barrier, so the run is bit-reproducible (see
+// runEpochs). Device cycles are the max over SMXs (they interact only
+// through the L2 in these workloads).
 func RunGPU(cfg Config, factory Factory) (*GPUResult, error) {
 	return RunGPUCtx(context.Background(), cfg, factory)
 }
 
-// RunGPUCtx is RunGPU with cooperative cancellation. The epoch-barrier
-// engine checks ctx at every barrier — once per EpochLen device cycles,
-// with all SMX workers parked — so a cancelled or expired context stops
-// the simulation within one epoch and returns ctx's error. Cancellation
+// RunGPUCtx is RunGPU with cooperative cancellation. The engine checks
+// ctx at every barrier — once per EpochLen device cycles, with all SMX
+// workers parked — so a cancelled or expired context stops the
+// simulation within one epoch and returns ctx's error. Cancellation
 // never yields a partial result (the error return is the only output),
 // so it cannot perturb determinism: an uncancelled RunGPUCtx is exactly
-// RunGPU. The legacy free-running engine has no safe interruption point
-// and only observes ctx before launch.
+// RunGPU.
 func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -65,22 +64,10 @@ func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, er
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("simt: run cancelled before launch: %w", err)
 	}
-	var shared memsys.SharedL2
-	var ordered *memsys.OrderedL2
-	if cfg.Engine == EngineFree {
-		//drslint:allow shared-l2 -- the legacy free-running engine is the documented exception; every other goroutine-spawning path must use the ordered port
-		shared = memsys.NewL2(cfg.Mem)
-	} else {
-		ordered = memsys.NewOrderedL2(cfg.Mem, cfg.NumSMX)
-		shared = ordered
-	}
+	l2 := memsys.NewOrderedL2(cfg.Mem, cfg.NumSMX)
 	col := cfg.Collector
 	if col != nil {
-		if ordered != nil {
-			ordered.RegisterMetrics(col.Registry, "l2")
-		} else if l2, ok := shared.(*memsys.L2); ok {
-			l2.RegisterMetrics(col.Registry, "l2")
-		}
+		l2.RegisterMetrics(col.Registry, "l2")
 	}
 	smxs := make([]*SMX, cfg.NumSMX)
 	for i := range smxs {
@@ -88,7 +75,7 @@ func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, er
 		if err != nil {
 			return nil, fmt.Errorf("simt: factory for SMX %d: %w", i, err)
 		}
-		s, err := NewSMX(i, cfg, prog.Kernel, prog.Hooks, shared)
+		s, err := NewSMX(i, cfg, prog.Kernel, prog.Hooks, l2)
 		if err != nil {
 			return nil, err
 		}
@@ -103,11 +90,7 @@ func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, er
 			s.RegisterSeries(col.Series)
 		}
 	}
-	if ordered != nil {
-		if err := runEpochs(ctx, cfg, smxs, ordered, col); err != nil {
-			return nil, err
-		}
-	} else if err := runFree(smxs); err != nil {
+	if err := runEpochs(ctx, cfg, smxs, l2, col); err != nil {
 		return nil, err
 	}
 	res := &GPUResult{PerSMX: make([]Stats, len(smxs))}
@@ -126,27 +109,6 @@ func RunGPUCtx(ctx context.Context, cfg Config, factory Factory) (*GPUResult, er
 	}
 	res.RFShuffleShare = res.RFStats.ShuffleShare()
 	return res, nil
-}
-
-// runFree is the legacy free-running engine: every SMX runs to
-// completion on its own goroutine, racing on the locked L2.
-func runFree(smxs []*SMX) error {
-	errs := make([]error, len(smxs))
-	var wg sync.WaitGroup
-	for i, s := range smxs {
-		wg.Add(1)
-		go func(i int, s *SMX) {
-			defer wg.Done()
-			_, errs[i] = s.Run()
-		}(i, s)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("simt: SMX %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // runEpochs is the deterministic epoch-barrier engine. Each epoch, all

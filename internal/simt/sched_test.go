@@ -6,20 +6,15 @@ import (
 	"repro/internal/memsys"
 )
 
-func TestSchedPolicyString(t *testing.T) {
-	if SchedGTO.String() != "gto" || SchedRR.String() != "rr" {
-		t.Errorf("policy names wrong")
-	}
-	if SchedPolicy(9).String() != "unknown" {
-		t.Errorf("unknown policy name")
-	}
-}
+// lrrFactory binds loose round-robin through the scheduler hook, the
+// way internal/warpsched's "lrr" policy does; a nil factory is GTO.
+func lrrFactory(v SchedView) SchedProgram { return SchedProgram{Pick: v.PickLRR} }
 
 // Both policies must complete the same kernel with identical retirement
 // counts and identical total issued instructions (scheduling changes
 // timing, not work).
 func TestSchedulersDoSameWork(t *testing.T) {
-	run := func(pol SchedPolicy) Stats {
+	run := func(sched SchedFactory) Stats {
 		iters := make(map[int32]int)
 		k := &testKernel{
 			blocks: []BlockInfo{
@@ -41,7 +36,7 @@ func TestSchedulersDoSameWork(t *testing.T) {
 			},
 		}
 		cfg := smallConfig(6)
-		cfg.Scheduler = pol
+		cfg.SchedFactory = sched
 		s := newTestSMX(t, cfg, k, Hooks{})
 		s.LaunchAll(0)
 		st, err := s.Run()
@@ -50,8 +45,8 @@ func TestSchedulersDoSameWork(t *testing.T) {
 		}
 		return st
 	}
-	gto := run(SchedGTO)
-	rr := run(SchedRR)
+	gto := run(nil)
+	rr := run(lrrFactory)
 	if gto.Retired != rr.Retired {
 		t.Errorf("retired differ: %d vs %d", gto.Retired, rr.Retired)
 	}
@@ -76,7 +71,7 @@ func TestRRRotates(t *testing.T) {
 		},
 	}
 	cfg := smallConfig(4)
-	cfg.Scheduler = SchedRR
+	cfg.SchedFactory = lrrFactory
 	cfg.SchedulersPerSMX = 1
 	cfg.DispatchPerScheduler = 1
 	s := newTestSMX(t, cfg, k, Hooks{})

@@ -137,23 +137,20 @@ func NewSMX(id int, cfg Config, kernel Kernel, hooks Hooks, l2 memsys.SharedL2) 
 	for i := range s.lastWarp {
 		s.lastWarp[i] = -1
 	}
-	// Bind the warp-scheduler policy: a configured factory wins, else
-	// the enum selects one of the builtin scans. Either way the cycle
-	// loop sees one direct func field — no interface dispatch, no
-	// per-pick branching on the policy kind.
-	switch {
-	case cfg.SchedFactory != nil:
-		prog := cfg.SchedFactory(SchedView{s: s})
-		if prog.Pick == nil {
-			return nil, fmt.Errorf("simt: scheduler factory returned a nil Pick func")
-		}
-		s.pickFn = prog.Pick
-		s.onIssueFn = prog.OnIssue
-	case cfg.Scheduler == SchedRR:
-		s.pickFn = s.pickRR
-	default:
+	// Bind the warp-scheduler policy: a configured factory, else the
+	// canonical GTO scan. Either way the cycle loop sees one direct
+	// func field — no interface dispatch, no per-pick branching on the
+	// policy kind.
+	if cfg.SchedFactory == nil {
 		s.pickFn = s.pickGTO
+		return s, nil
 	}
+	prog := cfg.SchedFactory(SchedView{s: s})
+	if prog.Pick == nil {
+		return nil, fmt.Errorf("simt: scheduler factory returned a nil Pick func")
+	}
+	s.pickFn = prog.Pick
+	s.onIssueFn = prog.OnIssue
 	return s, nil
 }
 

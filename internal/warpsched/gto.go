@@ -7,7 +7,7 @@ import "repro/internal/simt"
 // issuing from the same warp; on a stall fall back to the issuable
 // warp that has waited longest (lowest id on ties). The canonical scan
 // lives in the engine (SchedView.PickGTO), so the registry policy and
-// the legacy simt.SchedGTO enum are the same code and byte-identical
+// a nil Config.SchedFactory run the same code and are byte-identical
 // by construction.
 type GTO struct{}
 

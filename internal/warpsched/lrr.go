@@ -7,8 +7,7 @@ import "repro/internal/simt"
 // issuable one. Warps progress in lockstep-ish fashion, which spreads
 // memory accesses evenly but gives up GTO's latency-hiding greediness
 // — the classic ablation baseline. The canonical scan lives in the
-// engine (SchedView.PickLRR), shared with the legacy simt.SchedRR
-// enum.
+// engine (SchedView.PickLRR).
 type LRR struct{}
 
 // NewLRR returns the loose round-robin scheduler.

@@ -133,32 +133,33 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 }
 
-// The registry GTO/LRR policies must be byte-identical to the legacy
-// enum schedulers: same scan, devirtualized the same way, so every
-// counter of a completed run matches exactly.
+// The registry GTO/LRR policies must be byte-identical to the engine's
+// builtin scans: registry gto against the nil-factory default, and
+// registry lrr against a bare SchedView.PickLRR factory. Same scan,
+// devirtualized the same way, so every counter of a completed run
+// matches exactly.
 func TestFactoryMatchesEnum(t *testing.T) {
 	cases := []struct {
-		name string
-		enum simt.SchedPolicy
+		name    string
+		builtin simt.SchedFactory
 	}{
-		{"gto", simt.SchedGTO},
-		{"lrr", simt.SchedRR},
+		{"gto", nil},
+		{"lrr", func(v simt.SchedView) simt.SchedProgram { return simt.SchedProgram{Pick: v.PickLRR} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := testConfig(6)
-			legacy.Scheduler = tc.enum
-			viaEnum := runSMX(t, legacy)
+			builtin := testConfig(6)
+			builtin.SchedFactory = tc.builtin
+			want := runSMX(t, builtin)
 
 			sched, err := warpsched.Builtin().New(tc.name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			viaReg := testConfig(6)
-			viaReg.Scheduler = tc.enum // factory must win over the enum
 			viaReg.SchedFactory = sched.Factory()
-			if got := runSMX(t, viaReg); got != viaEnum {
-				t.Errorf("registry %s diverged from enum: %+v vs %+v", tc.name, got, viaEnum)
+			if got := runSMX(t, viaReg); got != want {
+				t.Errorf("registry %s diverged from the builtin scan: %+v vs %+v", tc.name, got, want)
 			}
 		})
 	}
