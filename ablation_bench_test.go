@@ -43,7 +43,7 @@ func BenchmarkAblationScheduler(b *testing.B) {
 		for _, sched := range []string{"gto", "lrr"} {
 			opt := harness.DefaultOptions()
 			opt.Sched = sched
-			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
+			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -60,7 +60,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 		for _, spec := range []bool{true, false} {
 			opt := harness.DefaultOptions()
 			opt.Aila.Speculative = spec
-			r, err := harness.Run(harness.ArchAila, rays, data, opt)
+			r, err := harness.RunNamed("aila", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func BenchmarkAblationLeafBurst(b *testing.B) {
 		for _, burst := range []int{1, 4, 16} {
 			opt := harness.DefaultOptions()
 			opt.WhileIf = kernels.WhileIfConfig{InnerBurst: burst, LeafBurst: burst}
-			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
+			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +100,7 @@ func BenchmarkAblationTexCache(b *testing.B) {
 		for _, kb := range []int{12, 48, 96} {
 			opt := harness.DefaultOptions()
 			opt.Simt.Mem.L1TexKB = kb
-			r, err := harness.Run(harness.ArchDRS, rays, data, opt)
+			r, err := harness.RunNamed("drs", rays, data, opt)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/harness"
 	"repro/internal/scene"
 )
 
@@ -142,7 +141,7 @@ func BenchmarkFigure10(b *testing.B) {
 			if c.Bounce != 0 {
 				continue
 			}
-			b.ReportMetric(c.Eff*100, c.Arch.String()+"-eff-%")
+			b.ReportMetric(c.Eff*100, c.Policy+"-eff-%")
 		}
 		if i == 0 && b.N == 1 {
 			b.Log("\n" + experiments.RenderFigure10(cells, 3))
@@ -165,10 +164,10 @@ func BenchmarkFigure11(b *testing.B) {
 			if c.Bounce != 0 {
 				continue
 			}
-			switch c.Arch {
-			case harness.ArchAila:
+			switch c.Policy {
+			case "aila":
 				aila = c.Mrays
-			case harness.ArchDRS:
+			case "drs":
 				drs = c.Mrays
 			}
 		}
@@ -182,8 +181,8 @@ func BenchmarkFigure11(b *testing.B) {
 }
 
 // benchFigure10Par measures the Figure 10 grid at a fixed scheduler
-// worker count: the cellsched wall-clock comparison recorded in
-// BENCH_cellsched.json. The workload is cached once outside the timed
+// worker count: the cellsched wall-clock comparison (its recorded
+// medians are in CHANGES.md). The workload is cached once outside the timed
 // loop so the benchmark isolates simulation scheduling, not scene
 // builds.
 func benchFigure10Par(b *testing.B, par int) {

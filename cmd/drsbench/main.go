@@ -49,7 +49,7 @@ func main() {
 		repeat  = flag.Int("repeat", 1, "run the selected experiments N times; exit 1 if any cell diverges between runs")
 		timeout = flag.Duration("timeout", 0, "abort after this wall-clock duration (0 = no limit); a timed-out run exits with code 3, distinct from divergence failures (1)")
 
-		policyFlag   = flag.String("policy", "", "reordering policy: restricts -exp policies to one policy, or selects the observed run's policy (see -list-policies)")
+		policyFlag   = flag.String("policy", "", "reordering policy: restricts -exp policies to one policy, or selects the observed run's policy, drs when empty (see -list-policies)")
 		listPolicies = flag.Bool("list-policies", false, "print the registered reordering policies and exit")
 
 		archCfg    = flag.String("arch-config", "", "device model for every selected experiment: a builtin name (see -list-archs) or @path to a JSON config; supersedes -smx")
@@ -62,7 +62,6 @@ func main() {
 
 		statsJSON = flag.String("stats-json", "", "observed-run mode: write the full metrics registry dump (flat JSON) to this file")
 		traceOut  = flag.String("trace", "", "observed-run mode: write a Chrome trace (chrome://tracing / Perfetto) of per-SMX occupancy and stall phases to this file")
-		archFlag  = flag.String("arch", "drs", "architecture for the observed run: aila|drs|dmk|tbc (superseded by -policy)")
 		bounce    = flag.Int("bounce", 2, "trace bounce whose rays the observed run simulates")
 		seriesCap = flag.Int("series-cap", 0, "epoch time-series ring capacity for the observed run (0 = default)")
 	)
@@ -159,13 +158,12 @@ func main() {
 	}
 
 	// Observed-run mode: -stats-json / -trace run one instrumented
-	// simulation (scene, architecture and bounce selected by flags)
+	// simulation (scene, policy and bounce selected by flags)
 	// instead of the experiment suite, and write machine-readable
 	// artifacts. -repeat re-runs it and byte-compares the artifacts.
 	if *statsJSON != "" || *traceOut != "" {
 		runObserved(ctx, p, observedSpec{
 			scene:     pickScene(scenes),
-			arch:      *archFlag,
 			policy:    *policyFlag,
 			bounce:    *bounce,
 			seriesCap: *seriesCap,

@@ -16,8 +16,7 @@ import (
 // (-stats-json / -trace).
 type observedSpec struct {
 	scene     scene.Benchmark
-	arch      string
-	policy    string // non-empty: run this registry policy instead of arch
+	policy    string // "" runs drs
 	bounce    int
 	seriesCap int
 	statsJSON string
@@ -34,15 +33,14 @@ func pickScene(scenes []scene.Benchmark) scene.Benchmark {
 	return scene.ConferenceRoom
 }
 
-// policyName resolves what the observed run simulates: -policy wins,
-// otherwise the legacy -arch spelling (the four architecture names are
-// registered policies, so both route through the same registry and an
-// unknown name fails in exactly one place).
+// policyName resolves what the observed run simulates: -policy, or
+// the paper's drs when it is empty. An unknown name fails in the
+// registry, the one place names are judged.
 func (s observedSpec) policyName() string {
 	if s.policy != "" {
 		return s.policy
 	}
-	return s.arch
+	return "drs"
 }
 
 // runObserved performs the instrumented run(s) and writes the requested

@@ -38,7 +38,7 @@ func main() {
 		if len(stream.Rays) == 0 {
 			break
 		}
-		r, err := harness.Run(harness.ArchAila, stream.Rays, data, opt)
+		r, err := harness.RunNamed("aila", stream.Rays, data, opt)
 		if err != nil {
 			log.Fatal(err)
 		}

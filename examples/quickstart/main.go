@@ -38,12 +38,12 @@ func main() {
 	// 3. Trace the stream on the simulated GTX780, both ways.
 	data := kernels.NewSceneData(bv)
 	opt := harness.DefaultOptions()
-	for _, arch := range []harness.Arch{harness.ArchAila, harness.ArchDRS} {
-		r, err := harness.Run(arch, rays, data, opt)
+	for _, policy := range []string{"aila", "drs"} {
+		r, err := harness.RunNamed(policy, rays, data, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-4s  SIMD efficiency %5.1f%%   %7.1f Mrays/s\n",
-			arch, r.SIMDEff*100, r.Mrays)
+			policy, r.SIMDEff*100, r.Mrays)
 	}
 }

@@ -43,10 +43,6 @@ type Config struct {
 	// (useful for scaled-down machines in tests and sensitivity
 	// studies). Zero uses the paper's formula.
 	WarpsOverride int
-	// BindThreshold is the minimum number of live rays a uniform row
-	// needs before the gate hands it to a warp while the collectors
-	// could still grow it. Zero uses the default of 3/4 of a row.
-	BindThreshold int
 }
 
 // DefaultConfig returns the configuration §4.3 recommends: one backup

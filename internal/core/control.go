@@ -24,18 +24,6 @@ type Stats struct {
 	IdealShuffles int64
 }
 
-// Add merges o into s. Every numeric field must be merged: the device
-// totals fold the per-SMX control stats with this method
-// (statcheck.AddCovers guards field coverage).
-func (s *Stats) Add(o Stats) {
-	s.Remaps += o.Remaps
-	s.SwapsStarted += o.SwapsStarted
-	s.SwapsCompleted += o.SwapsCompleted
-	s.SwapCycleSum += o.SwapCycleSum
-	s.RaysMoved += o.RaysMoved
-	s.IdealShuffles += o.IdealShuffles
-}
-
 // MeanSwapCycles returns the average duration of a completed ray move.
 func (s Stats) MeanSwapCycles() float64 {
 	if s.SwapsCompleted == 0 {
@@ -365,7 +353,7 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 		}
 	}
 	if best >= 0 {
-		if bestLive >= c.bindThreshold() || !c.canGrow(best, bestState) {
+		if bestLive >= c.bindThreshold() || !c.canGrow(best, bestState) || c.idealFrozen() {
 			c.bind(warp, best)
 			c.stats.Remaps++
 			s.Warp(warp).SetMapping(c.maskedSlots(best), kernels.WiRdctrl)
@@ -380,12 +368,25 @@ func (c *Control) gate(s *simt.SMX, warp int, now int64) simt.GateResult {
 }
 
 // bindThreshold returns the minimum live-ray count for handing a
-// growable uniform row to a warp.
-func (c *Control) bindThreshold() int {
-	if c.cfg.BindThreshold > 0 {
-		return c.cfg.BindThreshold
+// growable uniform row to a warp: 3/4 of a row.
+func (c *Control) bindThreshold() int { return c.cfg.warpSize() * 3 / 4 }
+
+// idealFrozen reports whether refusing a growable row would stall the
+// SMX forever. In Ideal mode nothing but bound warps moves rays: the
+// swap engine is off and idealShuffle regroups only mixed rows. Once no
+// row is bound, uniform fragments of one state (say leaf rows holding
+// 1, 2 and 1 rays) can never merge, so the best of them must be bound
+// even below the threshold.
+func (c *Control) idealFrozen() bool {
+	if !c.cfg.Ideal {
+		return false
 	}
-	return c.cfg.warpSize() * 3 / 4
+	for _, w := range c.rowWarp {
+		if w >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // canGrow reports whether shuffling could add more rays of the given

@@ -10,7 +10,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/scene"
 	"repro/internal/simt"
-	"repro/internal/statcheck"
 	"repro/internal/vec"
 )
 
@@ -243,13 +242,5 @@ func TestStatsMeanSwapCycles(t *testing.T) {
 	s.SwapCycleSum = 100
 	if s.MeanSwapCycles() != 25 {
 		t.Errorf("mean = %v", s.MeanSwapCycles())
-	}
-}
-
-// TestStatsAddCoverage pins that core.Stats.Add merges every numeric
-// field; harness.Run folds per-SMX control stats with it.
-func TestStatsAddCoverage(t *testing.T) {
-	if err := statcheck.AddCovers(Stats{}); err != nil {
-		t.Error(err)
 	}
 }

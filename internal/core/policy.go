@@ -73,9 +73,6 @@ func (i *instance) Program() simt.SMXProgram {
 
 func (i *instance) Hits() []geom.Hit { return i.k.Hits }
 
-// TypedStats implements reorder.TypedStatser with the DRS Stats.
-func (i *instance) TypedStats() any { return i.ctrl.Stats() }
-
 // ReorderStats implements reorder.StatsReporter: swaps completed are
 // the reordering events; in Ideal mode the instantaneous shuffles are.
 func (i *instance) ReorderStats() reorder.Stats {

@@ -61,15 +61,6 @@ type Stats struct {
 	QueueHighWater int64
 }
 
-// Add merges o into s.
-func (s *Stats) Add(o Stats) {
-	s.Respawns += o.Respawns
-	s.ThreadsMoved += o.ThreadsMoved
-	if o.QueueHighWater > s.QueueHighWater {
-		s.QueueHighWater = o.QueueHighWater
-	}
-}
-
 // Wrapper attaches DMK behaviour to the baseline kernel through the
 // engine's divergence hook plus a spawner tick.
 type Wrapper struct {

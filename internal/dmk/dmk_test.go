@@ -10,7 +10,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/scene"
 	"repro/internal/simt"
-	"repro/internal/statcheck"
 	"repro/internal/vec"
 )
 
@@ -135,26 +134,5 @@ func TestDMKImprovesEfficiencyOverBaseline(t *testing.T) {
 	if stD.SIMDEfficiency(32) <= stB.SIMDEfficiency(32) {
 		t.Errorf("DMK efficiency %.3f not above baseline %.3f",
 			stD.SIMDEfficiency(32), stB.SIMDEfficiency(32))
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	var a, b Stats
-	a.Respawns = 2
-	a.QueueHighWater = 5
-	b.Respawns = 3
-	b.ThreadsMoved = 7
-	b.QueueHighWater = 9
-	a.Add(b)
-	if a.Respawns != 5 || a.ThreadsMoved != 7 || a.QueueHighWater != 9 {
-		t.Errorf("merged = %+v", a)
-	}
-}
-
-// TestStatsAddCoverage pins that dmk.Stats.Add merges every numeric
-// field (QueueHighWater merges as a max and must still be covered).
-func TestStatsAddCoverage(t *testing.T) {
-	if err := statcheck.AddCovers(Stats{}); err != nil {
-		t.Error(err)
 	}
 }

@@ -80,9 +80,6 @@ func (i *instance) Program() simt.SMXProgram {
 
 func (i *instance) Hits() []geom.Hit { return i.k.Hits }
 
-// TypedStats implements reorder.TypedStatser with the DMK Stats.
-func (i *instance) TypedStats() any { return i.w.Stats() }
-
 // ReorderStats implements reorder.StatsReporter.
 func (i *instance) ReorderStats() reorder.Stats {
 	st := i.w.Stats()

@@ -141,10 +141,10 @@ func TestFigure10And11(t *testing.T) {
 		if c.Bounce != 0 {
 			continue
 		}
-		switch c.Arch {
-		case harness.ArchAila:
+		switch c.Policy {
+		case "aila":
 			ailaEff = c.Eff
-		case harness.ArchDRS:
+		case "drs":
 			drsEff = c.Eff
 		}
 	}

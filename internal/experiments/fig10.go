@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/harness"
 	"repro/internal/scene"
 	"repro/internal/simt"
 )
@@ -12,8 +11,9 @@ import (
 // ArchCell is one architecture/scene/bounce measurement for the
 // Figure 10/11 comparison (Aila vs DMK vs TBC vs DRS).
 type ArchCell struct {
-	Scene     scene.Benchmark
-	Arch      harness.Arch
+	Scene scene.Benchmark
+	// Policy is the registered policy name of the architecture.
+	Policy    string
 	Bounce    int // 0 = overall (all bounces merged)
 	Rays      int
 	Eff       float64
@@ -29,10 +29,9 @@ type ArchCell struct {
 	SpawnConflictShare float64
 }
 
-// ComparisonArchs lists the four architectures of Figures 10 and 11.
-var ComparisonArchs = []harness.Arch{
-	harness.ArchAila, harness.ArchDMK, harness.ArchTBC, harness.ArchDRS,
-}
+// comparisonPolicies names the four architectures of Figures 10 and 11
+// in their presentation order.
+var comparisonPolicies = []string{"aila", "dmk", "tbc", "drs"}
 
 // Figure10Ctx reproduces Figures 10 and 11: SIMD efficiency with
 // utilization breakdown and ray tracing performance for Aila's method,
@@ -51,22 +50,18 @@ func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Be
 	if bounces <= 0 {
 		bounces = 8
 	}
-	names := make([]string, len(ComparisonArchs))
-	for i, a := range ComparisonArchs {
-		names[i] = a.String()
-	}
-	res, err := runGrid(ctx, p, "fig10", scenes, namedPoints(names, p.Options), bounces)
+	res, err := runGrid(ctx, p, "fig10", scenes, namedPoints(comparisonPolicies, p.Options), bounces)
 	if err != nil {
 		return nil, err
 	}
 	warp := p.Options.Simt.WarpSize
 	var cells []ArchCell
 	for si, b := range scenes {
-		for ai, arch := range ComparisonArchs {
+		for ai, name := range comparisonPolicies {
 			for i, r := range res[si][ai] {
 				if r.ok && i < perBounce {
 					cells = append(cells, ArchCell{
-						Scene: b, Arch: arch, Bounce: i + 1,
+						Scene: b, Policy: name, Bounce: i + 1,
 						Rays: r.rays, Eff: r.eff,
 						Breakdown:          r.stats.UtilizationBreakdown(warp),
 						Mrays:              r.mrays,
@@ -78,7 +73,7 @@ func Figure10Ctx(ctx context.Context, p Params, perBounce int, scenes []scene.Be
 			}
 			all := merge(res[si][ai], p.Options)
 			cells = append(cells, ArchCell{
-				Scene: b, Arch: arch, Bounce: 0,
+				Scene: b, Policy: name, Bounce: 0,
 				Rays:      all.rays,
 				Eff:       all.eff,
 				Breakdown: all.stats.UtilizationBreakdown(warp),
@@ -96,7 +91,7 @@ func spawnShare(st simt.Stats) float64 {
 	return float64(st.SpawnConflictCycles) / float64(st.Cycles)
 }
 
-func archKey(c ArchCell) cellKey { return cellKey{c.Scene, c.Arch.String(), c.Bounce} }
+func archKey(c ArchCell) cellKey { return cellKey{c.Scene, c.Policy, c.Bounce} }
 
 // RenderFigure10 prints the SIMD efficiency / breakdown comparison.
 func RenderFigure10(cells []ArchCell, perBounce int) string {
@@ -112,13 +107,13 @@ func RenderFigure10(cells []ArchCell, perBounce int) string {
 				bn = 0
 				label = "all"
 			}
-			for _, arch := range ComparisonArchs {
-				c, ok := idx[cellKey{b, arch.String(), bn}]
+			for _, name := range comparisonPolicies {
+				c, ok := idx[cellKey{b, name, bn}]
 				if !ok {
 					continue
 				}
 				rows = append(rows, []string{
-					b.String(), label, arch.String(),
+					b.String(), label, name,
 					pct(c.Eff),
 					pct(c.Breakdown.W1to8), pct(c.Breakdown.W9to16),
 					pct(c.Breakdown.W17to24), pct(c.Breakdown.W25to32),
@@ -145,13 +140,13 @@ func RenderFigure11(cells []ArchCell, perBounce int) string {
 				bn = 0
 				label = "all"
 			}
-			aila, ok := idx[cellKey{b, harness.ArchAila.String(), bn}]
+			aila, ok := idx[cellKey{b, "aila", bn}]
 			if !ok {
 				continue
 			}
-			dmk := idx[cellKey{b, harness.ArchDMK.String(), bn}]
-			tbc := idx[cellKey{b, harness.ArchTBC.String(), bn}]
-			drs := idx[cellKey{b, harness.ArchDRS.String(), bn}]
+			dmk := idx[cellKey{b, "dmk", bn}]
+			tbc := idx[cellKey{b, "tbc", bn}]
+			drs := idx[cellKey{b, "drs", bn}]
 			speed := func(v float64) string {
 				if aila.Mrays == 0 {
 					return "-"

@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/cellsched"
 	"repro/internal/harness"
+	"repro/internal/metrics"
 	"repro/internal/reorder"
 	"repro/internal/scene"
 	"repro/internal/simt"
@@ -49,7 +51,7 @@ type summary struct {
 	eff            float64
 	rfShuffleShare float64
 	l1TexMissRate  float64
-	meanSwapCycles float64
+	meanSwapCycles float64 // observed drs runs only
 }
 
 // runGrid is the experiment grid every figure runs through: for each
@@ -107,7 +109,7 @@ func runGrid(ctx context.Context, p Params, fig string, scenes []scene.Benchmark
 							eff:            res.SIMDEff,
 							rfShuffleShare: res.GPU.RFShuffleShare,
 							l1TexMissRate:  res.GPU.L1TexMissRate,
-							meanSwapCycles: res.DRS.MeanSwapCycles(),
+							meanSwapCycles: meanSwapCycles(res.Metrics),
 						}, nil
 					},
 				})
@@ -127,6 +129,29 @@ func runGrid(ctx context.Context, p Params, fig string, scenes []scene.Benchmark
 		}
 	}
 	return out, nil
+}
+
+// meanSwapCycles is the mean duration of a completed DRS ray swap in an
+// observed run: the swap cycles over the swaps completed, each summed
+// across SMXs. It is 0 for a run without swaps or without a metrics
+// snapshot (Options.Observe unset).
+func meanSwapCycles(m *metrics.Snapshot) float64 {
+	if m == nil {
+		return 0
+	}
+	var sum, n int64
+	for i, path := range m.Paths {
+		switch {
+		case strings.HasSuffix(path, "/drs/swap_cycle_sum"):
+			sum += m.Values[i]
+		case strings.HasSuffix(path, "/drs/swaps_completed"):
+			n += m.Values[i]
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
 }
 
 // merge folds one point's per-bounce summaries into its overall figure,

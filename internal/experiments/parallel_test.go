@@ -88,21 +88,21 @@ func TestObservedMetricsParallelIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	type probe struct {
-		arch   harness.Arch
+		policy string
 		bounce int
 	}
 	probes := []probe{
-		{harness.ArchAila, 1}, {harness.ArchAila, 2},
-		{harness.ArchDRS, 1}, {harness.ArchDRS, 2},
+		{"aila", 1}, {"aila", 2},
+		{"drs", 1}, {"drs", 2},
 	}
 	run := func(par int) [][]byte {
 		t.Helper()
 		grid := make([]cellsched.Cell[[]byte], len(probes))
 		for i, pr := range probes {
 			grid[i] = cellsched.Cell[[]byte]{
-				Key: fmt.Sprintf("observed/%s/B%d", pr.arch, pr.bounce),
+				Key: fmt.Sprintf("observed/%s/B%d", pr.policy, pr.bounce),
 				Run: func() ([]byte, error) {
-					res, err := harness.RunNamed(pr.arch.String(), w.BounceRays(pr.bounce, p), w.Data, p.Options)
+					res, err := harness.RunNamed(pr.policy, w.BounceRays(pr.bounce, p), w.Data, p.Options)
 					if err != nil {
 						return nil, err
 					}
@@ -121,7 +121,7 @@ func TestObservedMetricsParallelIdentical(t *testing.T) {
 	for i := range probes {
 		if !bytes.Equal(got[i], ref[i]) {
 			t.Errorf("%s B%d: observed metrics snapshot diverged between par=1 and par=4",
-				probes[i].arch, probes[i].bounce)
+				probes[i].policy, probes[i].bounce)
 		}
 	}
 }

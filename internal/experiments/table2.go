@@ -34,11 +34,15 @@ func Table2Ctx(ctx context.Context, p Params, bounces int, scenes []scene.Benchm
 	if scenes == nil {
 		scenes = scene.Benchmarks
 	}
+	// The mean swap duration comes from the metrics registry, so every
+	// point runs observed; observing never changes a simulated number.
+	opt := p.Options
+	opt.Observe = true
 	points := make([]point, len(Table2Buffers))
 	for i, bufs := range Table2Buffers {
 		cfg := core.DefaultConfig()
 		cfg.SwapBuffers = bufs
-		points[i] = pinnedPoint(fmt.Sprintf("#%d", bufs), core.NewPolicy(cfg), p.Options)
+		points[i] = pinnedPoint(fmt.Sprintf("#%d", bufs), core.NewPolicy(cfg), opt)
 	}
 	res, err := runGrid(ctx, p, "table2", scenes, points, bounces)
 	if err != nil {

@@ -133,7 +133,7 @@ func TestArchEquivalenceReduced(t *testing.T) {
 			if got.Mrays != want.Mrays || got.SIMDEff != want.SIMDEff {
 				t.Errorf("rates diverged: %v/%v vs %v/%v", got.Mrays, got.SIMDEff, want.Mrays, want.SIMDEff)
 			}
-			if got.Reorder != want.Reorder || got.DRS != want.DRS {
+			if got.Reorder != want.Reorder {
 				t.Error("policy stats diverged")
 			}
 			// The config names gto explicitly; the hard-coded side runs

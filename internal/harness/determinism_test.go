@@ -18,12 +18,12 @@ func TestQuickstartConfigurationBitReproducible(t *testing.T) {
 	opt := smallOptions()
 	opt.Simt.NumSMX = 5
 
-	for _, arch := range []Arch{ArchAila, ArchDRS} {
+	for _, name := range []string{"aila", "drs"} {
 		var ref *Result
 		for i := 0; i < 3; i++ {
-			res, err := Run(arch, rays, data, opt)
+			res, err := RunNamed(name, rays, data, opt)
 			if err != nil {
-				t.Fatalf("%v run %d: %v", arch, i, err)
+				t.Fatalf("%v run %d: %v", name, i, err)
 			}
 			if ref == nil {
 				ref = res
@@ -31,20 +31,20 @@ func TestQuickstartConfigurationBitReproducible(t *testing.T) {
 			}
 			if res.GPU.Stats != ref.GPU.Stats {
 				t.Fatalf("%v run %d: device stats diverged: cycles %d vs %d, mem txns %d vs %d",
-					arch, i, res.GPU.Stats.Cycles, ref.GPU.Stats.Cycles,
+					name, i, res.GPU.Stats.Cycles, ref.GPU.Stats.Cycles,
 					res.GPU.Stats.MemTransactions, ref.GPU.Stats.MemTransactions)
 			}
 			if res.GPU.L1TexMissRate != ref.GPU.L1TexMissRate {
 				t.Fatalf("%v run %d: L1Tex miss rate diverged: %v vs %v",
-					arch, i, res.GPU.L1TexMissRate, ref.GPU.L1TexMissRate)
+					name, i, res.GPU.L1TexMissRate, ref.GPU.L1TexMissRate)
 			}
 			if res.GPU.RFStats != ref.GPU.RFStats {
 				t.Fatalf("%v run %d: RF counters diverged: %+v vs %+v",
-					arch, i, res.GPU.RFStats, ref.GPU.RFStats)
+					name, i, res.GPU.RFStats, ref.GPU.RFStats)
 			}
 			for s := range res.GPU.PerSMX {
 				if res.GPU.PerSMX[s] != ref.GPU.PerSMX[s] {
-					t.Fatalf("%v run %d: SMX %d stats diverged", arch, i, s)
+					t.Fatalf("%v run %d: SMX %d stats diverged", name, i, s)
 				}
 			}
 		}
@@ -62,9 +62,9 @@ func TestCheckDeterminismPassesOnEpochEngine(t *testing.T) {
 	opt := smallOptions()
 	opt.Simt.NumSMX = 3
 	opt.CheckDeterminism = true
-	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		if _, err := Run(arch, rays, data, opt); err != nil {
-			t.Errorf("%v: determinism check failed: %v", arch, err)
+	for _, name := range []string{"aila", "drs", "dmk", "tbc"} {
+		if _, err := RunNamed(name, rays, data, opt); err != nil {
+			t.Errorf("%v: determinism check failed: %v", name, err)
 		}
 	}
 }

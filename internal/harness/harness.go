@@ -8,8 +8,15 @@
 // reordering technique — the paper's DRS, the DMK/TBC baselines, the
 // SER-style window reorderer, global ray sorting, the explicit no-op —
 // is a Policy resolved by name (Policies() lists them), and the harness
-// itself contains no per-method code. The legacy Arch enum survives as
-// names for the four architectures Figures 10 and 11 compare.
+// itself contains no per-method code. A run names its policy by that
+// registry string and nothing else; the four architectures Figures 10
+// and 11 compare are the names aila, drs, dmk and tbc.
+//
+// A run reports through one stats surface: the device counters in
+// Result.GPU, the generic reordering activity every policy shares in
+// Result.Reorder, and — with Options.Observe — every component's own
+// counters (DRS swaps, DMK respawns, TBC compactions, SER windows) in
+// the Result.Metrics snapshot under smx<i>/<policy>/.
 package harness
 
 import (
@@ -31,52 +38,9 @@ import (
 	"repro/internal/warpsched"
 )
 
-// Arch selects one of the four architectures Figures 10 and 11 compare.
-// It survives the policy refactor as a closed enum over the legacy
-// names; Run(arch, ...) is RunNamed(arch.String(), ...).
-type Arch int
-
-const (
-	// ArchAila is the software baseline (while-while kernel).
-	ArchAila Arch = iota
-	// ArchDRS is the paper's dynamic ray shuffling architecture.
-	ArchDRS
-	// ArchDMK is the dynamic micro-kernel baseline.
-	ArchDMK
-	// ArchTBC is the thread block compaction baseline.
-	ArchTBC
-)
-
-func (a Arch) String() string {
-	switch a {
-	case ArchAila:
-		return "aila"
-	case ArchDRS:
-		return "drs"
-	case ArchDMK:
-		return "dmk"
-	case ArchTBC:
-		return "tbc"
-	default:
-		return "unknown"
-	}
-}
-
-// archOf maps a policy name back to its legacy Arch value, or -1 for
-// policies that postdate the enum. Result.Arch and the run/arch metric
-// keep their historical values through this mapping.
-func archOf(name string) Arch {
-	for _, a := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		if a.String() == name {
-			return a
-		}
-	}
-	return Arch(-1)
-}
-
 // policies is the process-wide registry, built once. Registration
-// order is the presentation order: the four legacy architectures, then
-// the policies this framework added.
+// order is the presentation order: the four architectures of Figures
+// 10 and 11, then the policies this framework added.
 var policies = sync.OnceValue(func() *reorder.Registry {
 	r := reorder.NewRegistry()
 	r.MustRegister(reorder.Registration{
@@ -164,8 +128,8 @@ type Options struct {
 	// deliberately malformed programs; real runs must verify.
 	SkipProgCheck bool
 	// CheckDeterminism is the harness's determinism assertion mode: the
-	// whole simulation runs twice and Run fails if the two runs' device
-	// stats (cycles, instruction counts, cache and register-file
+	// whole simulation runs twice and the run fails if the two runs'
+	// device stats (cycles, instruction counts, cache and register-file
 	// counters) differ in any way. It doubles the runtime; use it when
 	// validating engine changes, which must always pass it. With
 	// Observe set the comparison also covers the full metrics registry,
@@ -183,12 +147,12 @@ type Options struct {
 	// and counts evictions.
 	SeriesCap int
 	// Parallelism is the worker-pool size the experiment cell scheduler
-	// (internal/cellsched) uses to run independent Run simulations
+	// (internal/cellsched) uses to run independent RunNamed simulations
 	// concurrently: 0 means GOMAXPROCS, 1 forces the sequential path.
 	// It never changes any result — each cell is an isolated device and
 	// the scheduler assembles outputs in canonical cell order, so tables
 	// and stats are byte-identical at every setting (drsbench -par N).
-	// A single Run call ignores it; only grid runners consult it.
+	// A single RunNamed call ignores it; only grid runners consult it.
 	Parallelism int
 	// OnEpochSample, when set together with Observe, is invoked at every
 	// epoch barrier with the device cycle and the sampled series row
@@ -238,10 +202,6 @@ func (o Options) ResolveScheduler() (warpsched.Scheduler, error) {
 
 // Result is a completed run.
 type Result struct {
-	// Arch is the legacy enum value for the four original
-	// architectures, -1 for policies that postdate it; Policy is the
-	// authoritative identity.
-	Arch Arch
 	// Policy is the name of the reordering policy that ran.
 	Policy string
 	// Sched is the name of the warp-scheduler policy that ran ("gto"
@@ -260,43 +220,19 @@ type Result struct {
 	// SIMDEff is the overall SIMD efficiency.
 	SIMDEff float64
 	// Reorder aggregates the per-SMX generic reordering stats every
-	// policy reports, plus stream-level costs (the sort pre-pass).
+	// policy reports, plus stream-level costs (the sort pre-pass). A
+	// policy's own counters are in Metrics.
 	Reorder reorder.Stats
-	// DRS aggregates the per-SMX DRS control stats (drs policy only).
-	DRS core.Stats
-	// DMKStats aggregates the per-SMX DMK stats (dmk policy only).
-	DMKStats dmk.Stats
-	// TBCStats aggregates the per-SMX TBC stats (tbc policy only).
-	TBCStats tbc.Stats
-	// SERStats aggregates the per-SMX SER stats (ser policy only).
-	SERStats ser.Stats
 	// Config is the effective device configuration the run used (after
 	// per-policy warp-count adjustments).
 	Config simt.Config
 	// Metrics is the end-of-run snapshot of the unified registry
-	// (Options.Observe only).
+	// (Options.Observe only): device, memory and register-file counters
+	// plus each policy's own counters under smx<i>/<policy>/.
 	Metrics *metrics.Snapshot
 	// Series is the per-epoch time-series, sampled at every epoch
 	// barrier (Options.Observe only).
 	Series *metrics.Series
-}
-
-// Run simulates tracing the given rays on the chosen architecture.
-func Run(arch Arch, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), arch, rays, data, opt)
-}
-
-// RunCtx is Run with cooperative cancellation: the options are
-// validated up front (typed *OptionsError) and ctx is threaded into the
-// engine, which observes it at every epoch barrier, so a deadline or a
-// client disconnect stops a long simulation within one epoch.
-// Cancellation returns only an error, never a partial result, so an
-// uncancelled RunCtx is byte-identical to Run.
-func RunCtx(ctx context.Context, arch Arch, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
-	if arch < ArchAila || arch > ArchTBC {
-		return nil, &OptionsError{Field: "Arch", Reason: fmt.Sprintf("unknown architecture %d", arch)}
-	}
-	return RunNamedCtx(ctx, arch.String(), rays, data, opt)
 }
 
 // RunNamed simulates tracing the rays under the named reordering
@@ -305,8 +241,12 @@ func RunNamed(name string, rays []geom.Ray, data *kernels.SceneData, opt Options
 	return RunNamedCtx(context.Background(), name, rays, data, opt)
 }
 
-// RunNamedCtx is RunNamed with cooperative cancellation. For the four
-// legacy names it is byte-identical to the pre-registry harness.
+// RunNamedCtx is RunNamed with cooperative cancellation: the options are
+// validated up front (typed *OptionsError) and ctx is threaded into the
+// engine, which observes it at every epoch barrier, so a deadline or a
+// client disconnect stops a long simulation within one epoch.
+// Cancellation returns only an error, never a partial result, so an
+// uncancelled RunNamedCtx is byte-identical to RunNamed.
 func RunNamedCtx(ctx context.Context, name string, rays []geom.Ray, data *kernels.SceneData, opt Options) (*Result, error) {
 	pol, err := opt.ResolvePolicy(name)
 	if err != nil {
@@ -408,7 +348,6 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 	if opt.Observe {
 		col = metrics.NewCollector(opt.SeriesCap)
 		col.Registry.Const("run/rays", int64(len(rays)))
-		col.Registry.Const("run/arch", int64(archOf(name)))
 		col.Registry.Const("run/num_smx", int64(cfg.NumSMX))
 		col.Registry.Const("run/epoch_cycles", cfg.EpochLen())
 		if perm != nil {
@@ -468,7 +407,6 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 		return nil, err
 	}
 	res := &Result{
-		Arch:   archOf(name),
 		Policy: name,
 		Sched:  schedName,
 		GPU:    gpu,
@@ -484,18 +422,6 @@ func runOnce(ctx context.Context, pol reorder.Policy, rays []geom.Ray, data *ker
 		copy(hits[o.start:], o.inst.Hits())
 		if sr, ok := o.inst.(reorder.StatsReporter); ok {
 			res.Reorder.Add(sr.ReorderStats())
-		}
-		if ts, ok := o.inst.(reorder.TypedStatser); ok {
-			switch st := ts.TypedStats().(type) {
-			case core.Stats:
-				res.DRS.Add(st)
-			case dmk.Stats:
-				res.DMKStats.Add(st)
-			case tbc.Stats:
-				res.TBCStats.Add(st)
-			case ser.Stats:
-				res.SERStats.Add(st)
-			}
 		}
 	}
 	if perm != nil {

@@ -89,17 +89,17 @@ func TestAllArchitecturesMatchReference(t *testing.T) {
 		t.Fatalf("workload too small: %d rays", len(rays))
 	}
 	opt := smallOptions()
-	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		res, err := Run(arch, rays, data, opt)
+	for _, name := range []string{"aila", "drs", "dmk", "tbc"} {
+		res, err := RunNamed(name, rays, data, opt)
 		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
+			t.Fatalf("%v: %v", name, err)
 		}
-		verifyHits(t, arch.String(), rays, res.Hits, bv)
+		verifyHits(t, name, rays, res.Hits, bv)
 		if res.Mrays <= 0 {
-			t.Errorf("%v: nonpositive Mrays", arch)
+			t.Errorf("%v: nonpositive Mrays", name)
 		}
 		if res.SIMDEff <= 0 || res.SIMDEff > 1 {
-			t.Errorf("%v: efficiency out of range: %v", arch, res.SIMDEff)
+			t.Errorf("%v: efficiency out of range: %v", name, res.SIMDEff)
 		}
 	}
 }
@@ -129,11 +129,11 @@ func TestDRSBeatsAilaOnSecondaryRays(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Simt.NumSMX = 1
 	opt.Simt.MaxCycles = 1 << 26
-	aila, err := Run(ArchAila, rays, data, opt)
+	aila, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drs, err := Run(ArchDRS, rays, data, opt)
+	drs, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDRSBeatsAilaOnSecondaryRays(t *testing.T) {
 	if drs.Mrays <= aila.Mrays {
 		t.Errorf("DRS %.1f Mrays not above Aila %.1f", drs.Mrays, aila.Mrays)
 	}
-	if drs.DRS.SwapsCompleted == 0 {
+	if drs.Reorder.Reorders == 0 {
 		t.Errorf("DRS completed no swaps on incoherent rays")
 	}
 }
@@ -152,7 +152,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.FairyForest, 1200)
 	rays := traces.Bounce(2).Rays
 	opt := smallOptions()
-	real, err := Run(ArchDRS, rays, data, opt)
+	real, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 	idealCfg.WarpsOverride = 8
 	idealCfg.Ideal = true
 	opt.PolicyOverrides = []reorder.Policy{core.NewPolicy(idealCfg)}
-	ideal, err := Run(ArchDRS, rays, data, opt)
+	ideal, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ideal.DRS.IdealShuffles == 0 {
+	if ideal.Reorder.Reorders == 0 {
 		t.Errorf("ideal mode performed no shuffles")
 	}
 	// Allow a little modelling noise, but ideal shuffling should not be
@@ -176,7 +176,7 @@ func TestIdealDRSAtLeastAsFast(t *testing.T) {
 
 func TestEmptyStreamRejected(t *testing.T) {
 	data, _, _ := testWorkload(t, scene.ConferenceRoom, 800)
-	if _, err := Run(ArchAila, nil, data, smallOptions()); err == nil {
+	if _, err := RunNamed("aila", nil, data, smallOptions()); err == nil {
 		t.Errorf("empty stream accepted")
 	}
 }
@@ -185,11 +185,11 @@ func TestPrimaryRaysMoreEfficientThanSecondary(t *testing.T) {
 	// The premise of Figure 2, on the simulated pipeline.
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1500)
 	opt := smallOptions()
-	b1, err := Run(ArchAila, traces.Bounce(1).Rays, data, opt)
+	b1, err := RunNamed("aila", traces.Bounce(1).Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b3, err := Run(ArchAila, traces.Bounce(3).Rays, data, opt)
+	b3, err := RunNamed("aila", traces.Bounce(3).Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +201,11 @@ func TestPrimaryRaysMoreEfficientThanSecondary(t *testing.T) {
 func TestDMKReportsSpawnOverhead(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays
-	res, err := Run(ArchDMK, rays, data, smallOptions())
+	res, err := RunNamed("dmk", rays, data, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DMKStats.Respawns == 0 {
+	if res.Reorder.Reorders == 0 {
 		t.Errorf("DMK made no respawns on incoherent rays")
 	}
 	bd := res.GPU.Stats.UtilizationBreakdown(32)
@@ -220,26 +220,14 @@ func TestDMKReportsSpawnOverhead(t *testing.T) {
 func TestTBCSyncsAndCompacts(t *testing.T) {
 	data, traces, _ := testWorkload(t, scene.ConferenceRoom, 1200)
 	rays := traces.Bounce(2).Rays
-	res, err := Run(ArchTBC, rays, data, smallOptions())
+	res, err := RunNamed("tbc", rays, data, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TBCStats.Compactions == 0 || res.TBCStats.WarpsFormed == 0 {
-		t.Errorf("TBC did not compact: %+v", res.TBCStats)
+	if res.Reorder.Reorders == 0 || res.Reorder.RaysMoved == 0 {
+		t.Errorf("TBC did not compact: %+v", res.Reorder)
 	}
 	if res.GPU.Stats.BarrierStallCycles == 0 {
 		t.Errorf("TBC recorded no barrier stalls")
-	}
-}
-
-func TestArchString(t *testing.T) {
-	names := map[Arch]string{ArchAila: "aila", ArchDRS: "drs", ArchDMK: "dmk", ArchTBC: "tbc"}
-	for a, n := range names {
-		if a.String() != n {
-			t.Errorf("%d name = %q", a, a.String())
-		}
-	}
-	if Arch(99).String() != "unknown" {
-		t.Errorf("unknown arch name")
 	}
 }

@@ -4,6 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/archconfig"
+	"repro/internal/bvh"
+	"repro/internal/core"
+	"repro/internal/kernels"
+	"repro/internal/render"
+	"repro/internal/reorder"
 	"repro/internal/scene"
 	"repro/internal/trace"
 )
@@ -16,12 +22,12 @@ func TestPartitioningPreservesHits(t *testing.T) {
 	opt := smallOptions()
 
 	opt.Simt.NumSMX = 1
-	one, err := Run(ArchAila, rays, data, opt)
+	one, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Simt.NumSMX = 5
-	five, err := Run(ArchAila, rays, data, opt)
+	five, err := RunNamed("aila", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +52,11 @@ func TestTraceFileRoundTripSimulatesIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := smallOptions()
-	direct, err := Run(ArchAila, stream.Rays, data, opt)
+	direct, err := RunNamed("aila", stream.Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := Run(ArchAila, loaded.Rays, data, opt)
+	fromFile, err := RunNamed("aila", loaded.Rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +83,7 @@ func TestSimulationDeterministic(t *testing.T) {
 	opt.Simt.NumSMX = 1
 	var one *Result
 	for i := 0; i < 3; i++ {
-		res, err := Run(ArchDRS, rays, data, opt)
+		res, err := RunNamed("drs", rays, data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,18 +93,18 @@ func TestSimulationDeterministic(t *testing.T) {
 		}
 		if res.GPU.Stats.Cycles != one.GPU.Stats.Cycles ||
 			res.GPU.Stats.WarpInstrs != one.GPU.Stats.WarpInstrs ||
-			res.DRS.SwapsCompleted != one.DRS.SwapsCompleted {
+			res.Reorder.Reorders != one.Reorder.Reorders {
 			t.Fatalf("single-SMX run %d differs: cycles %d vs %d, instrs %d vs %d, swaps %d vs %d",
 				i, res.GPU.Stats.Cycles, one.GPU.Stats.Cycles,
 				res.GPU.Stats.WarpInstrs, one.GPU.Stats.WarpInstrs,
-				res.DRS.SwapsCompleted, one.DRS.SwapsCompleted)
+				res.Reorder.Reorders, one.Reorder.Reorders)
 		}
 	}
 
 	opt.Simt.NumSMX = 4
 	var ref *Result
 	for i := 0; i < 3; i++ {
-		res, err := Run(ArchDRS, rays, data, opt)
+		res, err := RunNamed("drs", rays, data, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,51 +125,120 @@ func TestSimulationDeterministic(t *testing.T) {
 	}
 }
 
-// All four architectures on all four scenes: hits must match the CPU
-// reference (the heaviest correctness sweep in the suite).
+// TestAllScenesAllArchsCorrect runs every registered policy on all four
+// scenes: hits must match the CPU BVH reference.
 func TestAllScenesAllArchsCorrect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
 	opt := smallOptions()
 	for _, b := range scene.Benchmarks {
 		data, traces, bv := testWorkload(t, b, 1200)
 		rays := traces.Bounce(2).Rays
-		if len(rays) > 2500 {
-			rays = rays[:2500]
-		}
-		for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-			res, err := Run(arch, rays, data, opt)
+		for _, name := range Policies().Names() {
+			res, err := RunNamed(name, rays, data, opt)
 			if err != nil {
-				t.Fatalf("%v/%v: %v", b, arch, err)
+				t.Fatalf("%v/%s: %v", b, name, err)
 			}
-			verifyHits(t, b.String()+"/"+arch.String(), rays, res.Hits, bv)
+			verifyHits(t, b.String()+"/"+name, rays, res.Hits, bv)
 		}
 	}
 }
 
-// Occlusion (any-hit) mode: Aila and DRS must agree with the reference
+// TestAnyHitParityAcrossArchitectures checks occlusion (any-hit) mode:
+// every policy under every warp scheduler must agree with the reference
 // occlusion query for every ray.
 func TestAnyHitParityAcrossArchitectures(t *testing.T) {
-	data, traces, bv := testWorkload(t, scene.ConferenceRoom, 1200)
+	data, traces, bv := testWorkload(t, scene.CrytekSponza, 1500)
 	rays := traces.Bounce(2).Rays
-	if len(rays) > 2000 {
-		rays = rays[:2000]
-	}
-	opt := smallOptions()
-	opt.Aila.AnyHit = true
-	opt.WhileIf.AnyHit = true
-	for _, arch := range []Arch{ArchAila, ArchDRS} {
-		res, err := Run(arch, rays, data, opt)
-		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
-		}
-		for i, r := range rays {
-			want := bv.IntersectAny(r, nil)
-			got := res.Hits[i].TriIndex >= 0
-			if got != want {
-				t.Fatalf("%v ray %d: occluded=%v, want %v", arch, i, got, want)
+	for _, sched := range Schedulers().Names() {
+		opt := smallOptions()
+		opt.Sched = sched
+		opt.Aila.AnyHit = true
+		opt.WhileIf.AnyHit = true
+		for _, name := range Policies().Names() {
+			label := sched + "/" + name
+			res, err := RunNamed(name, rays, data, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i, r := range rays {
+				if got, want := res.Hits[i].TriIndex >= 0, bv.IntersectAny(r, nil); got != want {
+					t.Fatalf("%s ray %d: occluded=%v, want %v", label, i, got, want)
+				}
 			}
 		}
 	}
+}
+
+// TestRegistryHitOracle is the functional oracle over the scheduler and
+// device-model registries: whichever policy, warp scheduler or builtin
+// device model (applied through ApplyArch) traces a stream, the committed
+// closest hits must match the CPU BVH reference.
+func TestRegistryHitOracle(t *testing.T) {
+	policies := Policies().Names()
+	data, traces, bv := testWorkload(t, scene.CrytekSponza, 1500)
+	rays := traces.Bounce(2).Rays
+	t.Run("schedulers", func(t *testing.T) {
+		for _, sched := range Schedulers().Names() {
+			opt := smallOptions()
+			opt.Sched = sched
+			for _, name := range policies {
+				res, err := RunNamed(name, rays, data, opt)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", sched, name, err)
+				}
+				verifyHits(t, sched+"/"+name, rays, res.Hits, bv)
+			}
+		}
+	})
+	t.Run("archs", func(t *testing.T) {
+		for _, arch := range archconfig.Names() {
+			ac, err := archconfig.Builtin(arch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt, err := ApplyArch(ac, smallOptions())
+			if err != nil {
+				t.Fatalf("%s: %v", arch, err)
+			}
+			for _, name := range policies {
+				res, err := RunNamed(name, rays, data, opt)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", arch, name, err)
+				}
+				verifyHits(t, arch+"/"+name, rays, res.Hits, bv)
+			}
+		}
+	})
+}
+
+// TestIdealDRSFragmentsDoNotLivelock pins the idealized DRS of Figure 8
+// on a stream small enough to strand uniform fragments of one ray state
+// (a few leaf rays each) in several unbound rows. Ideal mode has no
+// swap engine and regroups only mixed rows, so when the gate refused
+// every fragment as growable, no warp ever ran again and the device
+// spun to MaxCycles.
+func TestIdealDRSFragmentsDoNotLivelock(t *testing.T) {
+	s := scene.Generate(scene.FairyForest, 2000)
+	bv, err := bvh.Build(s.Tris, bvh.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cam := render.CameraFor(scene.FairyForest, 64, 48)
+	tr, err := render.Render(s, bv, cam, render.Config{
+		Width: 64, Height: 48, SamplesPerPixel: 1, MaxDepth: trace.MaxBounces, CaptureTraces: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rays := tr.Traces.Bounce(2).Rays
+	cfg := core.DefaultConfig()
+	cfg.ExtraBank = true
+	cfg.Ideal = true
+	opt := DefaultOptions()
+	opt.Simt.MaxCycles = 200000
+	opt.PolicyOverrides = []reorder.Policy{core.NewPolicy(cfg)}
+	res, err := RunNamed("drs", rays, kernels.NewSceneData(bv), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyHits(t, "fairy/ideal/B2", rays, res.Hits, bv)
 }

@@ -29,13 +29,13 @@ func TestSeriesTotalsMatchRegistry(t *testing.T) {
 	opt := smallOptions()
 	opt.Observe = true
 
-	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		res, err := Run(arch, rays, data, opt)
+	for _, name := range []string{"aila", "drs", "dmk", "tbc"} {
+		res, err := RunNamed(name, rays, data, opt)
 		if err != nil {
-			t.Fatalf("%v: %v", arch, err)
+			t.Fatalf("%v: %v", name, err)
 		}
 		if res.Series == nil || res.Series.Len() == 0 {
-			t.Fatalf("%v: no epoch samples", arch)
+			t.Fatalf("%v: no epoch samples", name)
 		}
 		checked := 0
 		for _, col := range res.Series.Columns() {
@@ -44,22 +44,22 @@ func TestSeriesTotalsMatchRegistry(t *testing.T) {
 			}
 			last, ok := res.Series.Last(col)
 			if !ok {
-				t.Fatalf("%v: Last(%q) not ok on non-empty series", arch, col)
+				t.Fatalf("%v: Last(%q) not ok on non-empty series", name, col)
 			}
 			total, ok := res.Metrics.Get(col)
 			if !ok {
 				// Columns like smx0/sampled_exec mirror registry paths
 				// one-to-one; a column with no registry twin is a wiring bug.
-				t.Errorf("%v: series column %q has no registry entry", arch, col)
+				t.Errorf("%v: series column %q has no registry entry", name, col)
 				continue
 			}
 			if last != total {
-				t.Errorf("%v: %s: final sample %d != registry total %d", arch, col, last, total)
+				t.Errorf("%v: %s: final sample %d != registry total %d", name, col, last, total)
 			}
 			checked++
 		}
 		if checked == 0 {
-			t.Fatalf("%v: no cumulative columns checked", arch)
+			t.Fatalf("%v: no cumulative columns checked", name)
 		}
 	}
 }
@@ -73,7 +73,7 @@ func TestChromeTraceExport(t *testing.T) {
 	opt := smallOptions()
 	opt.Observe = true
 
-	res, err := Run(ArchDRS, rays, data, opt)
+	res, err := RunNamed("drs", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 
 	// The process is named after the policy that ran, including the
-	// policies outside the legacy Arch enum.
+	// policies beyond the paper's four architectures.
 	if got := processName(t, tr); got != "gpu/drs" {
 		t.Errorf("process name = %q, want gpu/drs", got)
 	}
@@ -151,7 +151,7 @@ func TestChromeTraceExport(t *testing.T) {
 	}
 
 	// And with Observe off there is no series at all.
-	plain, err := Run(ArchAila, rays, data, smallOptions())
+	plain, err := RunNamed("aila", rays, data, smallOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

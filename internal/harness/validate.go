@@ -7,7 +7,7 @@ import (
 	"repro/internal/reorder"
 )
 
-// OptionsError reports one invalid Options field. Run and RunCtx reject
+// OptionsError reports one invalid Options field. RunNamed rejects
 // bad configurations up front with this typed error instead of letting
 // them panic deep in the engine (a zero warp count used to surface as a
 // divide-by-zero inside the scheduler); callers match it with
@@ -35,22 +35,14 @@ func AsOptionsError(err error) (*OptionsError, bool) {
 // not a tuning choice.
 const MaxParallelism = 4096
 
-// Validate checks the options against the architecture they will run
-// and returns a typed *OptionsError for the first rejected field. Run
-// and RunCtx perform the same validation before building any device
-// state, so a malformed configuration fails fast with a named field
-// instead of panicking in the engine.
-func (o Options) Validate(arch Arch) error {
-	if arch < ArchAila || arch > ArchTBC {
-		return &OptionsError{Field: "Arch", Reason: fmt.Sprintf("unknown architecture %d", arch)}
-	}
-	return o.ValidatePolicy(arch.String())
-}
-
-// ValidatePolicy is Validate for a named policy run: it resolves the
+// ValidatePolicy checks the options against the named policy they will
+// run and returns a typed error for the first rejection: it resolves the
 // name (unknown names fail with the registry's typed
 // *reorder.UnknownPolicyError), asks the policy to validate its own
-// configuration, and checks the harness-level fields.
+// configuration, and checks the harness-level fields (*OptionsError).
+// RunNamed performs the same validation before building any device
+// state, so a malformed configuration fails fast with a named field
+// instead of panicking in the engine.
 func (o Options) ValidatePolicy(name string) error {
 	pol, err := o.ResolvePolicy(name)
 	if err != nil {

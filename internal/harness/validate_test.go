@@ -15,27 +15,27 @@ import (
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
-		arch   Arch
+		policy string
 		mutate func(*Options)
 		field  string
 	}{
 		{
-			name: "zero aila warps", arch: ArchAila,
+			name: "zero aila warps", policy: "aila",
 			mutate: func(o *Options) { o.AilaWarps = 0 },
 			field:  "AilaWarps",
 		},
 		{
-			name: "negative aila warps on dmk", arch: ArchDMK,
+			name: "negative aila warps on dmk", policy: "dmk",
 			mutate: func(o *Options) { o.AilaWarps = -7 },
 			field:  "AilaWarps",
 		},
 		{
-			name: "zero aila warps on tbc", arch: ArchTBC,
+			name: "zero aila warps on tbc", policy: "tbc",
 			mutate: func(o *Options) { o.AilaWarps = 0 },
 			field:  "AilaWarps",
 		},
 		{
-			name: "broken drs config", arch: ArchDRS,
+			name: "broken drs config", policy: "drs",
 			mutate: func(o *Options) {
 				cfg := core.DefaultConfig()
 				cfg.SwapBuffers = -1
@@ -44,32 +44,27 @@ func TestValidateRejections(t *testing.T) {
 			field: "Policy",
 		},
 		{
-			name: "unknown architecture", arch: Arch(99),
-			mutate: func(o *Options) {},
-			field:  "Arch",
-		},
-		{
-			name: "negative parallelism", arch: ArchAila,
+			name: "negative parallelism", policy: "aila",
 			mutate: func(o *Options) { o.Parallelism = -1 },
 			field:  "Parallelism",
 		},
 		{
-			name: "absurd parallelism", arch: ArchAila,
+			name: "absurd parallelism", policy: "aila",
 			mutate: func(o *Options) { o.Parallelism = MaxParallelism + 1 },
 			field:  "Parallelism",
 		},
 		{
-			name: "negative series cap", arch: ArchAila,
+			name: "negative series cap", policy: "aila",
 			mutate: func(o *Options) { o.SeriesCap = -1 },
 			field:  "SeriesCap",
 		},
 		{
-			name: "epoch length below floor", arch: ArchAila,
+			name: "epoch length below floor", policy: "aila",
 			mutate: func(o *Options) { o.Simt.EpochCycles = -4 },
 			field:  "Simt.EpochCycles",
 		},
 		{
-			name: "broken device config", arch: ArchAila,
+			name: "broken device config", policy: "aila",
 			mutate: func(o *Options) { o.Simt.NumSMX = 0 },
 			field:  "Simt",
 		},
@@ -78,9 +73,9 @@ func TestValidateRejections(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultOptions()
 			tc.mutate(&opt)
-			err := opt.Validate(tc.arch)
+			err := opt.ValidatePolicy(tc.policy)
 			if err == nil {
-				t.Fatalf("Validate accepted a %s configuration", tc.name)
+				t.Fatalf("ValidatePolicy accepted a %s configuration", tc.name)
 			}
 			oe, ok := AsOptionsError(err)
 			if !ok {
@@ -94,13 +89,8 @@ func TestValidateRejections(t *testing.T) {
 }
 
 // TestValidateAcceptsDefaults: the paper configuration must pass for
-// every architecture and every registered policy.
+// every registered policy.
 func TestValidateAcceptsDefaults(t *testing.T) {
-	for _, arch := range []Arch{ArchAila, ArchDRS, ArchDMK, ArchTBC} {
-		if err := DefaultOptions().Validate(arch); err != nil {
-			t.Fatalf("defaults rejected for %s: %v", arch, err)
-		}
-	}
 	for _, name := range Policies().Names() {
 		if err := DefaultOptions().ValidatePolicy(name); err != nil {
 			t.Fatalf("defaults rejected for policy %s: %v", name, err)
@@ -124,17 +114,17 @@ func TestValidateUnknownPolicy(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBeforeBuilding: the validation fires inside Run itself,
+// TestRunRejectsBeforeBuilding: the validation fires inside RunNamed itself,
 // so a malformed request never reaches device construction.
 func TestRunRejectsBeforeBuilding(t *testing.T) {
 	opt := DefaultOptions()
 	opt.AilaWarps = 0
 	rays := []geom.Ray{{}}
-	_, err := Run(ArchAila, rays, nil, opt)
+	_, err := RunNamed("aila", rays, nil, opt)
 	if err == nil {
-		t.Fatal("Run accepted zero AilaWarps")
+		t.Fatal("RunNamed accepted zero AilaWarps")
 	}
 	if _, ok := AsOptionsError(err); !ok {
-		t.Fatalf("want *OptionsError from Run, got %T: %v", err, err)
+		t.Fatalf("want *OptionsError from RunNamed, got %T: %v", err, err)
 	}
 }

@@ -139,13 +139,6 @@ type StatsReporter interface {
 	ReorderStats() Stats
 }
 
-// TypedStatser is an optional Instance extension: the legacy typed
-// per-method stats (core.Stats, dmk.Stats, tbc.Stats) for callers that
-// consume method-specific counters from harness.Result.
-type TypedStatser interface {
-	TypedStats() any
-}
-
 // StreamSorter is an optional Policy extension: a policy that reorders
 // the ray stream globally, before the harness partitions it across
 // SMXs. SortStream returns the permutation to apply — the device

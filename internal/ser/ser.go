@@ -73,16 +73,6 @@ type Stats struct {
 	Serialized int64
 }
 
-// Add merges o into s (statcheck.AddCovers guards field coverage).
-func (s *Stats) Add(o Stats) {
-	s.Reorders += o.Reorders
-	s.ThreadsMoved += o.ThreadsMoved
-	if o.WindowHighWater > s.WindowHighWater {
-		s.WindowHighWater = o.WindowHighWater
-	}
-	s.Serialized += o.Serialized
-}
-
 // entry is one parked thread context: its kernel slot and coherence
 // key.
 type entry struct {
@@ -373,9 +363,6 @@ func (i *instance) Program() simt.SMXProgram {
 }
 
 func (i *instance) Hits() []geom.Hit { return i.k.Hits }
-
-// TypedStats implements reorder.TypedStatser with the SER Stats.
-func (i *instance) TypedStats() any { return i.w.Stats() }
 
 // ReorderStats implements reorder.StatsReporter.
 func (i *instance) ReorderStats() reorder.Stats {

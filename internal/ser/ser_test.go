@@ -1,6 +1,7 @@
 package ser_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/bvh"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/reorder"
 	"repro/internal/scene"
 	"repro/internal/ser"
-	"repro/internal/statcheck"
 )
 
 // workload builds a small incoherent secondary-ray stream.
@@ -76,9 +76,6 @@ func TestSERMatchesReference(t *testing.T) {
 	if res.Policy != "ser" {
 		t.Errorf("Result.Policy = %q", res.Policy)
 	}
-	if res.Arch != harness.Arch(-1) {
-		t.Errorf("Result.Arch = %d, want -1 for a post-enum policy", res.Arch)
-	}
 }
 
 // TestSERReordersIncoherentRays: on bounce-2 rays the window must see
@@ -87,20 +84,20 @@ func TestSERReordersIncoherentRays(t *testing.T) {
 	rays, data, _ := workload(t)
 	cfg := ser.DefaultConfig()
 	opt := smallOptions()
+	opt.Observe = true
 	opt.PolicyOverrides = []reorder.Policy{ser.NewPolicy(cfg)}
 	res, err := harness.RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.SERStats
-	if st.Reorders == 0 || st.ThreadsMoved == 0 {
-		t.Fatalf("SER did not reorder: %+v", st)
+	if res.Reorder.Reorders == 0 || res.Reorder.RaysMoved == 0 {
+		t.Fatalf("SER did not reorder: %+v", res.Reorder)
 	}
-	if st.WindowHighWater > int64(cfg.WindowSize) {
-		t.Fatalf("window high water %d exceeds bound %d", st.WindowHighWater, cfg.WindowSize)
+	if _, high := serCounter(t, res, "window_high_water"); high > int64(cfg.WindowSize) {
+		t.Fatalf("window high water %d exceeds bound %d", high, cfg.WindowSize)
 	}
-	if res.Reorder.Reorders != st.Reorders || res.Reorder.RaysMoved != st.ThreadsMoved {
-		t.Errorf("generic stats %+v disagree with typed stats %+v", res.Reorder, st)
+	if reorders, _ := serCounter(t, res, "reorders"); reorders != res.Reorder.Reorders {
+		t.Errorf("generic reorders %d disagree with the registry's %d", res.Reorder.Reorders, reorders)
 	}
 	// The injected handoff instructions must show up as SI work.
 	if bd := res.GPU.Stats.UtilizationBreakdown(32); bd.SI <= 0 {
@@ -116,16 +113,16 @@ func TestSERTinyWindowSerializes(t *testing.T) {
 	cfg := ser.DefaultConfig()
 	cfg.WindowSize = 1 // below any MinDivergence split
 	opt := smallOptions()
+	opt.Observe = true
 	opt.PolicyOverrides = []reorder.Policy{ser.NewPolicy(cfg)}
 	res, err := harness.RunNamed("ser", rays, data, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.SERStats
-	if st.ThreadsMoved != 0 {
-		t.Fatalf("1-thread window parked %d threads", st.ThreadsMoved)
+	if res.Reorder.RaysMoved != 0 {
+		t.Fatalf("1-thread window parked %d threads", res.Reorder.RaysMoved)
 	}
-	if st.Serialized == 0 {
+	if serialized, _ := serCounter(t, res, "serialized"); serialized == 0 {
 		t.Errorf("no serialized divergences recorded")
 	}
 	for i, r := range rays {
@@ -147,10 +144,25 @@ func TestSERPolicyValidate(t *testing.T) {
 	var _ reorder.Policy = p
 }
 
-func TestSERStatsAddCovers(t *testing.T) {
-	if err := statcheck.AddCovers(ser.Stats{}); err != nil {
-		t.Fatal(err)
+// serCounter folds one SER counter of an observed run over every SMX,
+// returning its sum and its maximum.
+func serCounter(t *testing.T, res *harness.Result, name string) (sum, max int64) {
+	t.Helper()
+	found := false
+	for i, path := range res.Metrics.Paths {
+		if strings.HasSuffix(path, "/ser/"+name) {
+			found = true
+			v := res.Metrics.Values[i]
+			sum += v
+			if v > max {
+				max = v
+			}
+		}
 	}
+	if !found {
+		t.Fatalf("no ser/%s counter in the metrics snapshot", name)
+	}
+	return sum, max
 }
 
 func abs(f float32) float32 {

@@ -172,16 +172,6 @@ func ParseScene(name string) (scene.Benchmark, error) {
 	return 0, fmt.Errorf("unknown scene %q; valid: %v", name, sceneNames())
 }
 
-// ParseArch resolves a legacy architecture name.
-func ParseArch(name string) (harness.Arch, error) {
-	for _, a := range legacyArchNames {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown arch %q; valid: aila drs dmk tbc", name)
-}
-
 // Normalize applies the service defaults to unset fields, in place.
 // Submissions are hashed after normalization, so an explicit
 // `"tris": 4000` and an omitted tris are the same job.
@@ -210,14 +200,14 @@ func (s *JobSpec) Normalize() {
 	// that merely repeats arch is dropped. Only genuinely new policy
 	// names survive into the canonical encoding.
 	if s.Kind == KindRun {
-		if s.Policy != "" && s.Arch == "" && isLegacyArch(s.Policy) {
+		if s.Policy != "" && s.Arch == "" && isArchName(s.Policy) {
 			s.Arch, s.Policy = s.Policy, ""
 		}
 		if s.Policy == s.Arch {
 			s.Policy = ""
 		}
 		if s.Policy == "" && s.Arch == "" {
-			s.Arch = harness.ArchDRS.String()
+			s.Arch = "drs"
 		}
 	}
 	// Device-model folding, same contract as the policy fold above: the
@@ -257,8 +247,8 @@ func (s *JobSpec) Validate() error {
 			if _, err := harness.Policies().New(s.Policy); err != nil {
 				return &SpecError{Field: "policy", Reason: err.Error()}
 			}
-		} else if _, err := ParseArch(s.Arch); err != nil {
-			return &SpecError{Field: "arch", Reason: err.Error()}
+		} else if !isArchName(s.Arch) {
+			return &SpecError{Field: "arch", Reason: fmt.Sprintf("unknown arch %q; valid: aila drs dmk tbc", s.Arch)}
 		}
 		if s.Bounce < 1 || s.Bounce > trace.MaxBounces {
 			return &SpecError{Field: "bounce", Reason: fmt.Sprintf("bounce %d out of range [1,%d]", s.Bounce, trace.MaxBounces)}
@@ -325,13 +315,14 @@ func (s *JobSpec) Validate() error {
 	return nil
 }
 
-// legacyArchNames are the four method names that predate the policy
-// field; specs spelling them via policy fold back into arch.
-var legacyArchNames = []harness.Arch{harness.ArchAila, harness.ArchDRS, harness.ArchDMK, harness.ArchTBC}
+// archNames are the four policy names the arch field accepts: the
+// architectures of Figures 10 and 11, which predate the policy field.
+// Specs spelling them via policy fold back into arch.
+var archNames = []string{"aila", "drs", "dmk", "tbc"}
 
-func isLegacyArch(name string) bool {
-	for _, a := range legacyArchNames {
-		if a.String() == name {
+func isArchName(name string) bool {
+	for _, a := range archNames {
+		if a == name {
 			return true
 		}
 	}

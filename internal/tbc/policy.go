@@ -74,9 +74,6 @@ func (i *instance) Program() simt.SMXProgram {
 
 func (i *instance) Hits() []geom.Hit { return i.k.Hits }
 
-// TypedStats implements reorder.TypedStatser with the TBC Stats.
-func (i *instance) TypedStats() any { return i.w.Stats() }
-
 // ReorderStats implements reorder.StatsReporter.
 func (i *instance) ReorderStats() reorder.Stats {
 	st := i.w.Stats()

@@ -35,13 +35,6 @@ type Stats struct {
 	Syncs int64
 }
 
-// Add merges o into s.
-func (s *Stats) Add(o Stats) {
-	s.Compactions += o.Compactions
-	s.WarpsFormed += o.WarpsFormed
-	s.Syncs += o.Syncs
-}
-
 // tblock is the runtime state of one thread block.
 type tblock struct {
 	warps []int // member warp ids

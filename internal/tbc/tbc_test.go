@@ -10,7 +10,6 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/scene"
 	"repro/internal/simt"
-	"repro/internal/statcheck"
 	"repro/internal/vec"
 )
 
@@ -142,25 +141,5 @@ func TestTBCEfficiencyAboveBaseline(t *testing.T) {
 	if stT.SIMDEfficiency(32) <= stB.SIMDEfficiency(32) {
 		t.Errorf("TBC efficiency %.3f not above baseline %.3f",
 			stT.SIMDEfficiency(32), stB.SIMDEfficiency(32))
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	var a, b Stats
-	a.Compactions = 1
-	b.Compactions = 2
-	b.WarpsFormed = 5
-	b.Syncs = 7
-	a.Add(b)
-	if a.Compactions != 3 || a.WarpsFormed != 5 || a.Syncs != 7 {
-		t.Errorf("merged = %+v", a)
-	}
-}
-
-// TestStatsAddCoverage pins that tbc.Stats.Add merges every numeric
-// field; harness.Run folds per-SMX TBC stats with it.
-func TestStatsAddCoverage(t *testing.T) {
-	if err := statcheck.AddCovers(Stats{}); err != nil {
-		t.Error(err)
 	}
 }
