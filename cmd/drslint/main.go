@@ -1,5 +1,5 @@
 // Command drslint is the repo's determinism and kernel-program linter.
-// It runs three independent passes and exits nonzero if any finds
+// It runs two independent passes and exits nonzero if either finds
 // anything:
 //
 //   - Program verification (-mode prog): every registered kernel
@@ -11,33 +11,35 @@
 //     transition and memory emission is cross-checked against the
 //     declared program.
 //
-//   - Source lint (-mode src): the file-granular syntactic determinism
-//     lint over the repo's non-test Go sources (map iteration feeding
-//     simulation state, wall-clock and global-RNG reads, goroutine
-//     captured-variable writes).
-//
-//   - Graph analysis (-mode graph): the type-aware whole-program pass
-//     (internal/srcgraph) — a static call graph over internal/ + cmd/,
-//     determinism-hazard findings for any function reachable from an
-//     engine/harness entry point or //drslint:hotpath root, plus the
-//     spec-hash drift and metrics-registration completeness verifiers.
+//   - Graph analysis (-mode graph): the type-aware whole-program
+//     determinism analysis (internal/srcgraph) over internal/ + cmd/ —
+//     map-range, wall-clock, global-RNG and hot-path allocation
+//     findings for any function reachable from an engine/harness entry
+//     point or //drslint:hotpath root, goroutine captured writes and
+//     shared-L2 use anywhere in the module, plus the spec-hash drift
+//     and metrics-registration completeness verifiers.
 //
 // Usage:
 //
-//	drslint [-mode all|prog|src|graph] [-json] [-tris N] [-steps N] [src roots...]
+//	drslint [-mode all|prog|graph] [-json] [-tris N] [-steps N] [-slots N]
 //
-// With -json the findings are emitted as one machine-readable object.
+// drslint takes no positional arguments. With -json the findings are
+// emitted as one machine-readable object.
 //
 // The exit code is a bitmask identifying which checks failed: 1 =
-// kernel-program findings, 2 = source-lint findings, 4 = graph
-// determinism hazards, 8 = spec-hash drift, 16 = metrics-registration
-// gaps. Internal errors (load or build failures) exit 32.
+// kernel-program findings, 4 = determinism hazards, 8 = spec-hash
+// drift, 16 = metrics-registration gaps. Usage errors and internal
+// errors (load or build failures) exit 32. Bit 2 is retired and stays
+// unused, so a script that still tests it for the deleted syntactic
+// source lint never reads another check's findings there.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bvh"
@@ -49,14 +51,15 @@ import (
 )
 
 // Exit-code bits, one per check family; the process exit status is the
-// OR of every bit whose check produced findings.
+// OR of every bit whose check produced findings. The values are part of
+// the CLI contract, so they are spelled out rather than counted by iota;
+// 2 is retired.
 const (
-	exitProg        = 1 << iota // kernel program verification/exploration
-	exitSrc                     // syntactic source lint
-	exitGraphHazard             // interprocedural determinism hazards
-	exitSpecHash                // spec-hash drift
-	exitMetricsReg              // metrics-registration gaps
-	exitInternal                // load/build/usage failure (32)
+	exitProg        = 1  // kernel program verification/exploration
+	exitGraphHazard = 4  // determinism hazards
+	exitSpecHash    = 8  // spec-hash drift
+	exitMetricsReg  = 16 // metrics-registration gaps
+	exitInternal    = 32 // load/build/usage failure
 )
 
 // kernelVariant is one (name, caps, builder) row of the registry. The
@@ -88,9 +91,8 @@ var variants = []kernelVariant{
 
 // report is the -json output shape.
 type report struct {
-	Program []progcheck.Finding    `json:"program"`
-	Source  []progcheck.SrcFinding `json:"source"`
-	Graph   *graphReport           `json:"graph,omitempty"`
+	Program []progcheck.Finding `json:"program"`
+	Graph   *graphReport        `json:"graph,omitempty"`
 	// Explored summarizes dynamic coverage per kernel x scene, so a
 	// clean run can be judged for how much it actually exercised.
 	Explored []exploreSummary `json:"explored,omitempty"`
@@ -116,17 +118,35 @@ type exploreSummary struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams injected; it
+// returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("drslint", flag.ContinueOnError)
+	fl.SetOutput(stderr)
 	var (
-		mode    = flag.String("mode", "all", "which passes to run: all, prog (kernel programs), src (source lint), or graph (whole-program analysis)")
-		jsonOut = flag.Bool("json", false, "emit findings as a single JSON object")
-		tris    = flag.Int("tris", 2000, "triangle budget per benchmark scene for program exploration")
-		steps   = flag.Int("steps", 0, "total Step budget per kernel x scene exploration (0 = progcheck default)")
-		slots   = flag.Int("slots", 256, "kernel slots (threads) to build and drive per exploration")
+		mode    = fl.String("mode", "all", "which passes to run: all, prog (kernel programs), or graph (determinism analysis)")
+		jsonOut = fl.Bool("json", false, "emit findings as a single JSON object")
+		tris    = fl.Int("tris", 2000, "triangle budget per benchmark scene for program exploration")
+		steps   = fl.Int("steps", 0, "total Step budget per kernel x scene exploration (0 = progcheck default)")
+		slots   = fl.Int("slots", 256, "kernel slots (threads) to build and drive per exploration")
 	)
-	flag.Parse()
-	if *mode != "all" && *mode != "prog" && *mode != "src" && *mode != "graph" {
-		fmt.Fprintf(os.Stderr, "drslint: unknown -mode %q; valid: all, prog, src, graph\n", *mode)
-		os.Exit(exitInternal)
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return exitInternal
+	}
+	if fl.NArg() > 0 {
+		fmt.Fprintf(stderr, "drslint: unexpected argument %q; drslint takes no positional arguments\n", fl.Arg(0))
+		fl.Usage()
+		return exitInternal
+	}
+	if *mode != "all" && *mode != "prog" && *mode != "graph" {
+		fmt.Fprintf(stderr, "drslint: unknown -mode %q; valid: all, prog, graph\n", *mode)
+		return exitInternal
 	}
 
 	var rep report
@@ -135,8 +155,8 @@ func main() {
 	if *mode == "all" || *mode == "prog" {
 		progFindings, summaries, err := runProg(*tris, *steps, *slots)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "drslint:", err)
-			os.Exit(exitInternal)
+			fmt.Fprintln(stderr, "drslint:", err)
+			return exitInternal
 		}
 		rep.Program = progFindings
 		rep.Explored = summaries
@@ -145,27 +165,11 @@ func main() {
 		}
 	}
 
-	if *mode == "all" || *mode == "src" {
-		roots := flag.Args()
-		if len(roots) == 0 {
-			roots = []string{"internal", "cmd"}
-		}
-		srcFindings, err := progcheck.LintDirs(roots...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "drslint:", err)
-			os.Exit(exitInternal)
-		}
-		rep.Source = srcFindings
-		if len(srcFindings) > 0 {
-			exit |= exitSrc
-		}
-	}
-
 	if *mode == "all" || *mode == "graph" {
 		gr, bits, err := runGraph()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "drslint:", err)
-			os.Exit(exitInternal)
+			fmt.Fprintln(stderr, "drslint:", err)
+			return exitInternal
 		}
 		rep.Graph = gr
 		exit |= bits
@@ -176,41 +180,35 @@ func main() {
 		if rep.Program == nil {
 			rep.Program = []progcheck.Finding{}
 		}
-		if rep.Source == nil {
-			rep.Source = []progcheck.SrcFinding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "drslint:", err)
-			os.Exit(exitInternal)
+			fmt.Fprintln(stderr, "drslint:", err)
+			return exitInternal
 		}
-	} else {
-		for _, f := range rep.Program {
-			fmt.Println(f.String())
-		}
-		for _, f := range rep.Source {
-			fmt.Println(f.String())
-		}
-		if rep.Graph != nil {
-			for _, f := range rep.Graph.Findings {
-				fmt.Println(f.String())
-			}
-		}
-		if exit == 0 {
-			switch {
-			case rep.Graph != nil && *mode == "graph":
-				fmt.Printf("drslint: clean (graph: %d funcs, %d det roots, %d hot roots)\n",
-					rep.Graph.Funcs, len(rep.Graph.DetRoots), len(rep.Graph.HotRoots))
-			case rep.Graph != nil:
-				fmt.Printf("drslint: clean (%d kernel/scene explorations; graph: %d funcs, %d det roots, %d hot roots)\n",
-					len(rep.Explored), rep.Graph.Funcs, len(rep.Graph.DetRoots), len(rep.Graph.HotRoots))
-			default:
-				fmt.Printf("drslint: clean (%d kernel/scene explorations)\n", len(rep.Explored))
-			}
+		return exit
+	}
+	for _, f := range rep.Program {
+		fmt.Fprintln(stdout, f.String())
+	}
+	if rep.Graph != nil {
+		for _, f := range rep.Graph.Findings {
+			fmt.Fprintln(stdout, f.String())
 		}
 	}
-	os.Exit(exit)
+	if exit == 0 {
+		switch {
+		case rep.Graph != nil && *mode == "graph":
+			fmt.Fprintf(stdout, "drslint: clean (graph: %d funcs, %d det roots, %d hot roots)\n",
+				rep.Graph.Funcs, len(rep.Graph.DetRoots), len(rep.Graph.HotRoots))
+		case rep.Graph != nil:
+			fmt.Fprintf(stdout, "drslint: clean (%d kernel/scene explorations; graph: %d funcs, %d det roots, %d hot roots)\n",
+				len(rep.Explored), rep.Graph.Funcs, len(rep.Graph.DetRoots), len(rep.Graph.HotRoots))
+		default:
+			fmt.Fprintf(stdout, "drslint: clean (%d kernel/scene explorations)\n", len(rep.Explored))
+		}
+	}
+	return exit
 }
 
 // runGraph loads the module, runs the whole-program analyses, and maps

@@ -77,7 +77,7 @@ func main() {
 
 	failed := false
 	names := make([]string, 0, len(samples))
-	for n := range samples { //drslint:allow map-range -- keys collected then sorted; output order comes from sort.Strings
+	for n := range samples {
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -426,7 +426,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	//drslint:allow map-range -- pure count of live entries; no order dependence
 	for _, e := range s.entries {
 		if !e.evicted {
 			n++

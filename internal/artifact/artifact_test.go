@@ -18,8 +18,8 @@ import (
 // age-based GC tests never sleep.
 type fakeClock struct{ now int64 }
 
-func (c *fakeClock) Now() int64       { return c.now }
-func (c *fakeClock) Advance(s int64)  { c.now += s }
+func (c *fakeClock) Now() int64      { return c.now }
+func (c *fakeClock) Advance(s int64) { c.now += s }
 
 // idOf builds a deterministic content address from a tag.
 func idOf(tag string) string {

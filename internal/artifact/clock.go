@@ -7,6 +7,5 @@ import "time"
 // it only orders GC evictions — and every test injects virtual time
 // through Config.Now instead.
 func realNow() int64 {
-	//drslint:allow wallclock -- GC eviction ordering only; artifact bytes and ids never depend on the clock
 	return time.Now().Unix()
 }

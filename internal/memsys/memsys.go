@@ -254,6 +254,7 @@ func (o *OrderedL2) NumPorts() int { return len(o.ports) }
 // Drain resolves every queued request against the cache in (smxID,
 // issue-order) order. The engine calls it at the epoch barrier, with no
 // SMX goroutine running; it must not race with enqueues.
+//
 //drslint:hotpath
 func (o *OrderedL2) Drain() {
 	for _, p := range o.ports {

@@ -24,7 +24,8 @@ type Clock interface {
 type realClock struct{}
 
 func (realClock) After(d time.Duration) <-chan time.Time {
-	//drslint:allow wallclock -- retry backoff pacing only; job artifacts are a pure function of the spec
+	// Retry backoff pacing only; job artifacts are a pure function of
+	// the spec.
 	return time.After(d)
 }
 

@@ -22,12 +22,12 @@ func newDivergeKernel(slots, rounds int) *divergeKernel {
 
 func (k *divergeKernel) Blocks() []BlockInfo {
 	return []BlockInfo{
-		{Name: "head", Insts: 1, Reconv: 5},  // 0: 4-way split point
-		{Name: "a", Insts: 1},                // 1
-		{Name: "b", Insts: 1},                // 2
-		{Name: "c", Insts: 1},                // 3
-		{Name: "d", Insts: 1},                // 4
-		{Name: "join", Insts: 1}, // 5: loop back or exit (never diverges)
+		{Name: "head", Insts: 1, Reconv: 5}, // 0: 4-way split point
+		{Name: "a", Insts: 1},               // 1
+		{Name: "b", Insts: 1},               // 2
+		{Name: "c", Insts: 1},               // 3
+		{Name: "d", Insts: 1},               // 4
+		{Name: "join", Insts: 1},            // 5: loop back or exit (never diverges)
 	}
 }
 

@@ -3,6 +3,7 @@ package simt
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/memsys"
@@ -27,10 +28,10 @@ type SMX struct {
 	kernel Kernel
 	hooks  Hooks
 
-	st    *warpState
-	views []Warp
-	mem   *memsys.SMXMem
-	rf    *regfile.File
+	st     *warpState
+	views  []Warp
+	mem    *memsys.SMXMem
+	rf     *regfile.File
 	blocks []BlockInfo
 
 	cycle int64
@@ -171,6 +172,7 @@ func (s *SMX) LaunchAll(slotBase int32) {
 // mapping (used by the DRS wiring, where warps map to rows). The live
 // counter is maintained incrementally by the phase transition — this
 // remap costs O(warpSize), with no O(warps) recount.
+//
 //drslint:hotpath
 func (s *SMX) LaunchMapped(warp int, slots []int32) {
 	s.st.launch(warp, s.kernel.Entry(), slots)
@@ -238,28 +240,13 @@ func (s *SMX) RegisterSeries(se *metrics.Series) {
 
 // Run executes until all warps are done, returning the final stats.
 func (s *SMX) Run() (Stats, error) {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	for s.st.live > 0 {
-		s.step()
-		if s.cycle > maxCycles {
-			return s.Stats(), fmt.Errorf("simt: SMX %d exceeded %d cycles (%d warps live; deadlock?)",
-				s.ID, maxCycles, s.st.live)
-		}
-	}
-	return s.Stats(), nil
+	err := s.advance(math.MaxInt64)
+	return s.Stats(), err
 }
 
-// RunEpoch advances the SMX to device cycle `end` (or until all its
-// warps are done), leaving this epoch's L2-bound requests queued on the
-// SMX's port. The epoch-barrier engine calls it from the SMX's worker
-// goroutine, then — after the device-wide ordered drain — ResolveEpoch
-// from the barrier. The engine guarantees end-start never exceeds
-// Config.EpochLen, so no queued request's data could have been needed
-// before the barrier.
-func (s *SMX) RunEpoch(end int64) error {
+// advance steps the SMX while warps are live and the cycle is before
+// end. It fails once the cycle passes Config.MaxCycles (default 2^40).
+func (s *SMX) advance(end int64) error {
 	maxCycles := s.cfg.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = 1 << 40
@@ -274,6 +261,15 @@ func (s *SMX) RunEpoch(end int64) error {
 	return nil
 }
 
+// RunEpoch advances the SMX to device cycle `end` (or until all its
+// warps are done), leaving this epoch's L2-bound requests queued on the
+// SMX's port. The epoch-barrier engine calls it from the SMX's worker
+// goroutine, then — after the device-wide ordered drain — ResolveEpoch
+// from the barrier. The engine guarantees end-start never exceeds
+// Config.EpochLen, so no queued request's data could have been needed
+// before the barrier.
+func (s *SMX) RunEpoch(end int64) error { return s.advance(end) }
+
 // ResolveEpoch applies the epoch drain's hit/miss outcomes to warps
 // with in-flight memory and clears the SMX's port queue. The engine
 // calls it at the barrier, never concurrently with RunEpoch. A warp
@@ -281,6 +277,7 @@ func (s *SMX) RunEpoch(end int64) error {
 // provisional (L2-hit) estimate to the full DRAM round trip; the
 // estimate always reaches past the barrier, so the correction is never
 // late.
+//
 //drslint:hotpath
 func (s *SMX) ResolveEpoch() {
 	port := s.mem.Port()
@@ -313,22 +310,10 @@ func (s *SMX) ResolveEpoch() {
 // RunFor advances the SMX by at most n cycles, stopping early if all
 // warps finish. Useful for interactive inspection and incremental
 // drivers.
-func (s *SMX) RunFor(n int64) error {
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 1 << 40
-	}
-	for end := s.cycle + n; s.st.live > 0 && s.cycle < end; {
-		s.step()
-		if s.cycle > maxCycles {
-			return fmt.Errorf("simt: SMX %d exceeded %d cycles (%d warps live; deadlock?)",
-				s.ID, maxCycles, s.st.live)
-		}
-	}
-	return nil
-}
+func (s *SMX) RunFor(n int64) error { return s.advance(s.cycle + n) }
 
 // step advances the SMX by one cycle.
+//
 //drslint:hotpath
 func (s *SMX) step() {
 	s.cycle++
@@ -816,6 +801,7 @@ func (s *SMX) LiveWarps() int { return s.st.live }
 // time plus `extraStall` cycles. Architecture hooks use this for
 // instruction overheads the kernel's block table does not contain
 // (DMK's micro-kernel spawn data dumping/loading).
+//
 //drslint:hotpath
 func (s *SMX) InjectInstrs(warp *Warp, count, active int, tag Tag, extraStall int) {
 	if count <= 0 {
@@ -836,6 +822,7 @@ func (s *SMX) InjectInstrs(warp *Warp, count, active int, tag Tag, extraStall in
 
 // AddBarrierStall records warp-cycles spent parked at a compaction
 // barrier (TBC).
+//
 //drslint:hotpath
 func (s *SMX) AddBarrierStall(cycles int64) {
 	if cycles > 0 {
@@ -845,6 +832,7 @@ func (s *SMX) AddBarrierStall(cycles int64) {
 
 // AddSpawnConflict records cycles lost to spawn-memory contention
 // (DMK).
+//
 //drslint:hotpath
 func (s *SMX) AddSpawnConflict(cycles int64) {
 	if cycles > 0 {

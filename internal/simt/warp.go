@@ -19,6 +19,7 @@ func newWarp(id, warpSize int) *Warp {
 
 // Launch activates the warp at the given entry block with the lane ->
 // slot mapping. Lanes with slot -1 are masked off.
+//
 //drslint:hotpath
 func (w *Warp) Launch(entry int, slots []int32) {
 	w.st.launch(w.id, entry, slots)
@@ -51,6 +52,7 @@ func (w *Warp) StackDepth() int { return int(w.st.stackLen[w.id]) }
 // AddStall delays the warp's next issue by the given number of cycles
 // beyond `now` (architecture hooks use this for spawn-memory conflicts
 // and shuffle costs).
+//
 //drslint:hotpath
 func (w *Warp) AddStall(now int64, cycles int) {
 	target := now + int64(cycles)
@@ -63,12 +65,14 @@ func (w *Warp) AddStall(now int64, cycles int) {
 // reconvergence stack to a single full entry at block `pc`. Lanes with
 // slot -1 are masked off. Architecture hooks (DRS renaming, DMK
 // respawn, TBC compaction) use this to re-form the warp.
+//
 //drslint:hotpath
 func (w *Warp) SetMapping(slots []int32, pc int) {
 	w.st.launch(w.id, pc, slots)
 }
 
 // Park suspends the warp (TBC barrier). Resume with SetMapping.
+//
 //drslint:hotpath
 func (w *Warp) Park() { w.st.setPhase(w.id, phaseParked) }
 
@@ -76,6 +80,7 @@ func (w *Warp) Park() { w.st.setPhase(w.id, phaseParked) }
 // fresh mapping. Retired warps may be resurrected because compaction
 // architectures hand pending thread contexts to whichever warps are
 // free.
+//
 //drslint:hotpath
 func (w *Warp) Resume(slots []int32, pc int) {
 	if p := w.st.phase[w.id]; p != phaseParked && p != phaseDone {

@@ -6,8 +6,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"repro/internal/progcheck"
 )
 
 // funcNode is one function (or method) declared in the module, with
@@ -39,6 +37,10 @@ type funcNode struct {
 	// allow holds function-wide suppressions from //drslint:allow
 	// directives in the doc comment.
 	allow map[string]bool
+
+	// concurrent is set when the declaring file contains a go
+	// statement: the scope of the shared-l2 check.
+	concurrent bool
 }
 
 // hazard is one potential finding, held until reachability decides
@@ -91,6 +93,7 @@ func BuildGraph(prog *Program) *Graph {
 	for _, pkg := range prog.Pkgs {
 		for _, file := range pkg.Files {
 			fileHot := fileTaggedHotpath(file)
+			concurrent := fileSpawnsGoroutines(file)
 			for _, d := range file.Decls {
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {
@@ -101,17 +104,18 @@ func BuildGraph(prog *Program) *Graph {
 					continue
 				}
 				n := &funcNode{
-					id:      funcID(obj),
-					pkg:     pkg,
-					decl:    decl,
-					file:    file,
-					callees: make(map[string]bool),
-					allow:   make(map[string]bool),
+					id:         funcID(obj),
+					pkg:        pkg,
+					decl:       decl,
+					file:       file,
+					callees:    make(map[string]bool),
+					allow:      make(map[string]bool),
+					concurrent: concurrent,
 				}
 				applyDirectives(n, decl.Doc)
 				if fileHot && !n.hotRoot {
 					n.hotRoot = true
-					n.rootWhy = "file-level " + progcheck.HotpathDirective + " tag"
+					n.rootWhy = "file-level " + hotpathDirective + " tag"
 				}
 				for _, r := range detRootRules {
 					if !strings.HasSuffix(pkg.Path, r.pkgSuffix) {
@@ -140,7 +144,6 @@ func BuildGraph(prog *Program) *Graph {
 	g.expandInterfaceCalls(ifaceCalls)
 
 	g.order = make([]string, 0, len(g.nodes))
-	//drslint:allow map-range -- collected ids are sorted before use
 	for id := range g.nodes {
 		g.order = append(g.order, id)
 	}
@@ -182,19 +185,13 @@ func applyDirectives(n *funcNode, doc *ast.CommentGroup) {
 		return
 	}
 	for _, c := range doc.List {
-		text := c.Text
-		if text == progcheck.HotpathDirective || strings.HasPrefix(text, progcheck.HotpathDirective+" ") {
+		if isHotpathDirective(c.Text) {
 			n.hotRoot = true
-			n.rootWhy = progcheck.HotpathDirective + " directive"
+			n.rootWhy = hotpathDirective + " directive"
 		}
-		if strings.HasPrefix(text, progcheck.AllowDirective) {
-			rest := strings.TrimPrefix(text, progcheck.AllowDirective)
-			if i := strings.Index(rest, "--"); i >= 0 {
-				rest = rest[:i]
-			}
-			for _, name := range strings.Fields(rest) {
-				n.allow[name] = true
-			}
+		checks, _ := allowedChecks(c.Text)
+		for _, name := range checks {
+			n.allow[name] = true
 		}
 	}
 }
@@ -214,12 +211,25 @@ func fileTaggedHotpath(f *ast.File) bool {
 			continue
 		}
 		for _, c := range cg.List {
-			if c.Text == progcheck.HotpathDirective || strings.HasPrefix(c.Text, progcheck.HotpathDirective+" ") {
+			if isHotpathDirective(c.Text) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// fileSpawnsGoroutines reports whether the file contains a go
+// statement.
+func fileSpawnsGoroutines(f *ast.File) bool {
+	found := false
+	ast.Inspect(f, func(n ast.Node) bool {
+		if _, ok := n.(*ast.GoStmt); ok {
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 // expandInterfaceCalls resolves recorded interface method calls by
@@ -266,8 +276,7 @@ func collectBody(n *funcNode) []ifaceCall {
 	var ifaceCalls []ifaceCall
 
 	// freshSlices tracks locals bound to freshly allocated slices, for
-	// the append-growth variant of hotpath-alloc (same tracking as the
-	// syntactic lint, per whole declaration).
+	// the append-growth variant of hotpath-alloc (per whole declaration).
 	freshSlices := make(map[string]bool)
 
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
@@ -286,12 +295,21 @@ func collectBody(n *funcNode) []ifaceCall {
 			}
 			n.callees[funcID(fn)] = true
 			n.noteAmbientFunc(t, fn)
+			if n.concurrent && isFreeRunningL2(fn) {
+				n.addHazard(t.Pos(), CheckSharedL2,
+					"%s hits the free-running memsys.L2 from a file that spawns goroutines; its mutex serves requests in goroutine scheduling order, so hit/miss state depends on scheduler interleaving — route L2 traffic through memsys.NewOrderedL2's per-SMX ports (or suppress with %q)",
+					fn.Name(), allowHint(CheckSharedL2, "<why the scheduler cannot reorder its accesses>"))
+			}
+		case *ast.GoStmt:
+			if lit, ok := t.Call.Fun.(*ast.FuncLit); ok {
+				n.noteCapturedWrites(lit)
+			}
 		case *ast.RangeStmt:
 			if tv, ok := info.Types[t.X]; ok {
 				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
 					n.addHazard(t.For, CheckMapRange,
 						"range over map %s iterates in randomized order; state fed from it diverges run to run (sort the keys, add a deterministic tie-break, or suppress with %q)",
-						types.ExprString(t.X), strings.TrimSpace(progcheck.AllowDirective)+" map-range -- <why it is order-insensitive>")
+						types.ExprString(t.X), allowHint(CheckMapRange, "<why it is order-insensitive>"))
 				}
 			}
 		case *ast.AssignStmt:
@@ -357,7 +375,7 @@ func collectBody(n *funcNode) []ifaceCall {
 	return ifaceCalls
 }
 
-var hotSuppressHint = strings.TrimSpace(progcheck.AllowDirective) + " hotpath-alloc -- <why this allocation is off the per-cycle path>"
+var hotSuppressHint = allowHint(CheckHotPathAlloc, "<why this allocation is off the per-cycle path>")
 
 // noteAmbientFunc records the hazards that live in the callee itself:
 // wall-clock reads and the process-global RNG. These fire at the
@@ -374,16 +392,91 @@ func (n *funcNode) noteAmbientFunc(at *ast.Ident, fn *types.Func) {
 	}
 	switch pkg.Path() {
 	case "time":
-		if progcheck.WallClockFuncs[fn.Name()] {
+		if wallClockFuncs[fn.Name()] {
 			n.addHazard(at.Pos(), CheckWallClock,
 				"time.%s reads or schedules against the wall clock; code on a determinism path must be a pure function of its inputs", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
-		if progcheck.GlobalRandFuncs[fn.Name()] {
+		if globalRandFuncs[fn.Name()] {
 			n.addHazard(at.Pos(), CheckGlobalRand,
 				"%s.%s uses the process-global RNG; use a seeded generator (internal/rng) instead", pkg.Name(), fn.Name())
 		}
 	}
+}
+
+// wallClockFuncs is the package-level API of time that reads the wall
+// clock or schedules against it. Now/Since/Until read the clock
+// directly, and the timer and ticker constructors deliver events whose
+// order against simulation progress is scheduler- and load-dependent.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"NewTimer": true, "NewTicker": true, "Tick": true,
+	"After": true, "AfterFunc": true,
+}
+
+// globalRandFuncs is the package-level API of math/rand (and v2) that
+// draws from the shared, process-seeded source.
+var globalRandFuncs = map[string]bool{
+	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
+	"Int63": true, "Int63n": true, "Int32": true, "Int32N": true,
+	"Int64": true, "Int64N": true, "IntN": true, "N": true,
+	"Uint32": true, "Uint64": true, "Uint32N": true, "Uint64N": true,
+	"Float32": true, "Float64": true, "ExpFloat64": true,
+	"NormFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
+	"Read": true,
+}
+
+// isFreeRunningL2 reports whether fn is memsys.NewL2 or a method of
+// memsys.L2, the immediate mutex-serialized L2. The package is matched
+// by import-path suffix, as the det roots are.
+func isFreeRunningL2(fn *types.Func) bool {
+	if fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/memsys") {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return fn.Name() == "NewL2"
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "L2"
+}
+
+// noteCapturedWrites records every plain assignment inside a go
+// statement's function literal to a variable declared outside it: an
+// unsynchronized write to shared state that races with the spawning
+// goroutine. Writes through an index expression (out[i] = ...) pass —
+// the worker-per-element idiom is disjoint by construction. A nested go
+// literal is skipped here; collectBody reaches it on its own.
+func (n *funcNode) noteCapturedWrites(lit *ast.FuncLit) {
+	ast.Inspect(lit.Body, func(node ast.Node) bool {
+		switch t := node.(type) {
+		case *ast.GoStmt:
+			_, nested := t.Call.Fun.(*ast.FuncLit)
+			return !nested
+		case *ast.AssignStmt:
+			if t.Tok == token.DEFINE {
+				return true
+			}
+			for _, lhs := range t.Lhs {
+				id, ok := lhs.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				v, ok := n.pkg.Info.Uses[id].(*types.Var)
+				if !ok || (v.Pos() >= lit.Pos() && v.Pos() < lit.End()) {
+					continue
+				}
+				n.addHazard(id.Pos(), CheckGoCapturedWrite,
+					"goroutine assigns to captured variable %q; unsynchronized shared writes race (pass it as a parameter, write a disjoint element, or guard with sync)",
+					id.Name)
+			}
+		}
+		return true
+	})
 }
 
 func (n *funcNode) addHazard(pos token.Pos, check, format string, args ...any) {
@@ -391,8 +484,9 @@ func (n *funcNode) addHazard(pos token.Pos, check, format string, args ...any) {
 }
 
 // exprMakesFreshSlice reports whether an expression allocates a new
-// slice: make([]T, ...) or a slice literal. Type-aware version of the
-// syntactic lint's helper.
+// slice: make([]T, ...) or a slice literal. Reslices of pooled storage
+// (s.buf[:0]) and values read from fields or calls are not fresh —
+// appending to them reuses capacity.
 func exprMakesFreshSlice(info *types.Info, e ast.Expr) bool {
 	switch t := e.(type) {
 	case *ast.CallExpr:
@@ -437,7 +531,6 @@ func (g *Graph) propagate(isRoot func(*funcNode) bool) reach {
 		for _, id := range frontier {
 			n := g.nodes[id]
 			callees := make([]string, 0, len(n.callees))
-			//drslint:allow map-range -- collected ids are sorted before use
 			for c := range n.callees {
 				callees = append(callees, c)
 			}

@@ -4,33 +4,36 @@ import (
 	"fmt"
 	"go/ast"
 	"sort"
-
-	"repro/internal/progcheck"
 )
 
 func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 
 // CheckHazards builds the call graph and reports every determinism
-// hazard that is reachable from a root:
+// hazard:
 //
 //   - map-range, wallclock and global-rand fire in any function
 //     reachable from a determinism root (engine entry points, harness
 //     Run* API, and every hot function — per-cycle code is on the
 //     determinism path by construction);
 //   - hotpath-alloc fires in any function reachable from a
-//     //drslint:hotpath root.
+//     //drslint:hotpath root;
+//   - goroutine-captured-write and shared-l2 fire in any function of
+//     the module, reachable or not: a race or a schedule-ordered L2 is
+//     wrong wherever the goroutine runs.
 //
-// Line-level //drslint:allow suppressions use the same grammar as the
-// syntactic lint; a //drslint:allow in a function's doc comment
-// suppresses the named checks for the whole function.
+// A line-level //drslint:allow suppresses the named checks on its line
+// and the line below; one in a function's doc comment suppresses them
+// for the whole function.
 func CheckHazards(prog *Program) []Finding {
 	g := BuildGraph(prog)
 	return g.findings()
 }
 
-// detKind reports whether a check propagates from determinism roots
-// (as opposed to hot roots only).
-func detKind(check string) bool { return check != CheckHotPathAlloc }
+// moduleWide reports whether a check fires without a root reaching
+// the function.
+func moduleWide(check string) bool {
+	return check == CheckGoCapturedWrite || check == CheckSharedL2
+}
 
 func (g *Graph) findings() []Finding {
 	hot := g.propagate(func(n *funcNode) bool { return n.hotRoot })
@@ -40,11 +43,11 @@ func (g *Graph) findings() []Finding {
 	det := g.propagate(func(n *funcNode) bool { return n.detRoot || n.hotRoot })
 
 	// Line-level suppressions, collected lazily per file.
-	allowCache := make(map[*ast.File]map[int]map[progcheck.SrcCheck]bool)
-	allows := func(f *ast.File) map[int]map[progcheck.SrcCheck]bool {
+	allowCache := make(map[*ast.File]lineAllows)
+	allows := func(f *ast.File) lineAllows {
 		m, ok := allowCache[f]
 		if !ok {
-			m = progcheck.AllowsByLine(f, g.prog.Fset)
+			m = allowsByLine(f, g.prog.Fset)
 			allowCache[f] = m
 		}
 		return m
@@ -56,34 +59,31 @@ func (g *Graph) findings() []Finding {
 		if len(n.hazards) == 0 {
 			continue
 		}
-		var via reach
 		sort.Slice(n.hazards, func(i, j int) bool { return n.hazards[i].pos < n.hazards[j].pos })
 		for _, h := range n.hazards {
-			if detKind(h.check) {
-				via = det
-			} else {
-				via = hot
-			}
-			if _, reached := via[id]; !reached {
-				continue
+			var chain []string
+			if !moduleWide(h.check) {
+				via := det
+				if h.check == CheckHotPathAlloc {
+					via = hot
+				}
+				if _, reached := via[id]; !reached {
+					continue
+				}
+				chain = via.chain(id)
 			}
 			if n.allow[h.check] {
 				continue
 			}
 			file, line := g.prog.Rel(h.pos)
-			if la := allows(n.file); la[line][progcheck.SrcCheck(h.check)] || la[line-1][progcheck.SrcCheck(h.check)] {
+			if allows(n.file).suppresses(line, h.check) {
 				continue
 			}
-			chain := via.chain(id)
-			out = append(out, Finding{
-				File:  file,
-				Line:  line,
-				Check: h.check,
-				Func:  id,
-				Root:  chain[0],
-				Chain: chain,
-				Msg:   h.msg,
-			})
+			f := Finding{File: file, Line: line, Check: h.check, Func: id, Chain: chain, Msg: h.msg}
+			if chain != nil {
+				f.Root = chain[0]
+			}
+			out = append(out, f)
 		}
 	}
 	SortFindings(out)

@@ -137,7 +137,7 @@ func CheckMetricsRegistration(prog *Program) []Finding {
 		out = append(out, suppressible(prog, t.pkg, pos, Finding{
 			File: file, Line: line, Check: CheckMetricsReg,
 			Msg: fmt.Sprintf("struct %s carries metrics field tags but no RegisterStruct call ever reaches it (directly or as a nested field of a registered struct); its counters will silently never appear in snapshots — register it or suppress with %q",
-				q, allowHint(CheckMetricsReg)),
+				q, allowHint(CheckMetricsReg, "<why>")),
 		})...)
 	}
 	SortFindings(out)

@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"reflect"
 	"strings"
-
-	"repro/internal/progcheck"
 )
 
 // Spec-hash drift check.
@@ -108,7 +106,7 @@ func checkCanonical(prog *Program, pkg *Package, decl *ast.FuncDecl, spec *types
 		return suppressible(prog, pkg, decl.Pos(), Finding{
 			File: file, Line: line, Check: CheckSpecHash,
 			Msg: fmt.Sprintf("%s.Canonical has no statically visible json.Marshal of a struct; the spec-hash drift check cannot verify that every %s field reaches the content address (restructure the encoder or suppress with %q)",
-				specName, specName, allowHint(CheckSpecHash)),
+				specName, specName, allowHint(CheckSpecHash, "<why>")),
 		})
 	}
 
@@ -130,23 +128,23 @@ func checkCanonical(prog *Program, pkg *Package, decl *ast.FuncDecl, spec *types
 		if !f.Exported() {
 			if encoded == spec {
 				add("field %s.%s is unexported, so it is invisible to the canonical encoder: state it carries is not part of the job's content address and distinct jobs can merge under one hash (export and tag it, or suppress with %q)",
-					specName, f.Name(), allowHint(CheckSpecHash))
+					specName, f.Name(), allowHint(CheckSpecHash, "<why>"))
 			}
 			continue
 		}
 		if hasTag && name == "-" && tag != "-," {
 			add("field %s.%s is tagged json:\"-\" and never reaches the canonical encoding; a spec field outside the content address merges distinct jobs under one hash (encode it or suppress with %q)",
-				encoded.Obj().Name(), f.Name(), allowHint(CheckSpecHash))
+				encoded.Obj().Name(), f.Name(), allowHint(CheckSpecHash, "<why>"))
 			continue
 		}
 		if !hasTag {
 			add("field %s.%s has no explicit json tag; its wire name — part of every job's hash preimage — is coupled to the Go identifier, and a rename silently re-addresses every job (pin it with a json tag or suppress with %q)",
-				encoded.Obj().Name(), f.Name(), allowHint(CheckSpecHash))
+				encoded.Obj().Name(), f.Name(), allowHint(CheckSpecHash, "<why>"))
 		}
 		for _, opt := range strings.Split(opts, ",") {
 			if opt == "omitempty" {
 				add("field %s.%s is tagged omitempty, making the canonical encoding non-total: a zero value vanishes from the preimage and two different field sets can share one content address (drop omitempty or suppress with %q)",
-					encoded.Obj().Name(), f.Name(), allowHint(CheckSpecHash))
+					encoded.Obj().Name(), f.Name(), allowHint(CheckSpecHash, "<why>"))
 			}
 		}
 		wire := f.Name()
@@ -178,7 +176,7 @@ func checkCanonical(prog *Program, pkg *Package, decl *ast.FuncDecl, spec *types
 			out = append(out, suppressible(prog, pkg, f.Pos(), Finding{
 				File: file, Line: line, Check: CheckSpecHash,
 				Msg: fmt.Sprintf("field %s.%s is absent from the %s projection that Canonical encodes; the field never reaches the content address and distinct jobs can merge under one hash (add it to the projection or suppress with %q)",
-					specName, f.Name(), encoded.Obj().Name(), allowHint(CheckSpecHash)),
+					specName, f.Name(), encoded.Obj().Name(), allowHint(CheckSpecHash, "<why>")),
 			})...)
 		}
 	}
@@ -223,19 +221,13 @@ func findMarshalledStruct(pkg *Package, decl *ast.FuncDecl) *types.Named {
 	return found
 }
 
-// allowHint renders the suppression comment for a check.
-func allowHint(check string) string {
-	return strings.TrimSpace(progcheck.AllowDirective) + " " + check + " -- <why>"
-}
-
 // suppressible applies line-level //drslint:allow suppressions to a
 // finding anchored at pos; it returns the finding in a slice, or an
 // empty slice when suppressed.
 func suppressible(prog *Program, pkg *Package, pos token.Pos, f Finding) []Finding {
 	file := pkg.FileAt(pos)
 	if file != nil {
-		la := progcheck.AllowsByLine(file, prog.Fset)
-		if la[f.Line][progcheck.SrcCheck(f.Check)] || la[f.Line-1][progcheck.SrcCheck(f.Check)] {
+		if allowsByLine(file, prog.Fset).suppresses(f.Line, f.Check) {
 			return nil
 		}
 	}

@@ -1,23 +1,22 @@
-// Package srcgraph is the type-aware, whole-program layer of the
-// determinism lint. Where internal/progcheck's source lint judges one
-// file at a time from syntax alone, srcgraph type-checks the module
-// (go/types over export data from the go build cache — no external
-// dependencies), builds a static call graph over every package, marks
-// the functions where the determinism contract is rooted, and
-// propagates hazard facts along call edges. A map iteration in an
-// untagged helper three calls below the engine loop is then a finding,
-// not a blind spot.
+// Package srcgraph is the repo's determinism analysis. It type-checks
+// the module (go/types over export data from the go build cache — no
+// external dependencies), builds a static call graph over every
+// package, marks the functions where the determinism contract is
+// rooted, and propagates hazard facts along call edges. A map iteration
+// in an untagged helper three calls below the engine loop is then a
+// finding, not a blind spot.
 //
 // Three analyses share the loaded program:
 //
-//   - Interprocedural hazards (hazards.go): map-range, wallclock,
+//   - Determinism hazards (hazards.go): map-range, wallclock,
 //     global-rand and hotpath-alloc sites are collected per function
 //     with full type information (a range over a map-typed parameter is
 //     seen as such), and reported when the enclosing function is
 //     reachable from a determinism root (engine entry points, harness
 //     Run* API, //drslint:hotpath functions) or — for allocation churn
 //     — from a hot root. Each finding carries the witness call chain
-//     from the root.
+//     from the root. goroutine-captured-write and shared-l2 sites are
+//     reported in every function of the module, reachable or not.
 //
 //   - Spec-hash drift (speccheck.go): every struct with a Canonical
 //     content-address encoder is cross-checked field by field against
@@ -31,18 +30,16 @@
 //     otherwise the tags are dead annotation and the counters silently
 //     never appear in snapshots.
 //
-// Roots and suppressions are function-granular. A function is a hot
-// root when its doc comment carries //drslint:hotpath (the file-level
-// tag is still honored and marks every function in the file); a
-// //drslint:allow directive in a function's doc comment suppresses a
-// check for the whole function, and the line-level grammar from
-// internal/progcheck keeps working unchanged, so one suppression
-// satisfies both passes.
+// Roots and suppressions follow the directive grammar in
+// directives.go. A function is a hot root when its doc comment carries
+// //drslint:hotpath (a file-level tag marks every function in the
+// file); a //drslint:allow directive suppresses a check on one line or,
+// in a function's doc comment, for the whole function.
 //
-// Like the syntactic lint, this is a tripwire, not a proof: calls
-// through plain function values cannot be resolved statically and
-// interface calls are expanded by implements-based class-hierarchy
-// analysis, which over- rather than under-approximates the cone.
+// This is a tripwire, not a proof: calls through plain function values
+// cannot be resolved statically and interface calls are expanded by
+// implements-based class-hierarchy analysis, which over- rather than
+// under-approximates the cone.
 package srcgraph
 
 import (
@@ -51,16 +48,24 @@ import (
 	"strings"
 )
 
-// Check identifiers. The hazard checks reuse internal/progcheck's
-// names so an existing //drslint:allow suppression covers both passes.
+// Check identifiers, as named by //drslint:allow directives.
 const (
-	// CheckMapRange, CheckWallClock, CheckGlobalRand, CheckHotPathAlloc
-	// mirror the progcheck source-lint classes, enforced
-	// interprocedurally from the determinism/hot roots.
-	CheckMapRange     = "map-range"
-	CheckWallClock    = "wallclock"
-	CheckGlobalRand   = "global-rand"
+	// CheckMapRange, CheckWallClock and CheckGlobalRand fire in the
+	// determinism cone: map iteration, wall-clock reads and the
+	// process-global RNG.
+	CheckMapRange   = "map-range"
+	CheckWallClock  = "wallclock"
+	CheckGlobalRand = "global-rand"
+	// CheckHotPathAlloc fires in the hot cone: a map allocation or the
+	// append growth of a freshly allocated local slice.
 	CheckHotPathAlloc = "hotpath-alloc"
+	// CheckGoCapturedWrite fires module-wide: a go statement's function
+	// literal assigns to a variable declared outside it.
+	CheckGoCapturedWrite = "goroutine-captured-write"
+	// CheckSharedL2 fires module-wide: memsys.NewL2 or a method of the
+	// free-running memsys.L2 referenced in a file that spawns
+	// goroutines. Concurrent code must use the ordered per-SMX ports.
+	CheckSharedL2 = "shared-l2"
 	// CheckSpecHash flags drift between a content-addressed spec struct
 	// and its canonical encoder.
 	CheckSpecHash = "spec-hash"

@@ -1,15 +1,16 @@
 package srcgraph
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
-
-	"repro/internal/progcheck"
 )
 
 // The specimen module under testdata is a self-contained miniature of
 // the repo: an engine package whose import path matches the det-root
-// rules, a content-addressed spec with deliberate drift, and a metrics
+// rules, harness/hot/conc packages holding one function per hazard
+// case, a content-addressed spec with deliberate drift, and a metrics
 // registry with one orphaned struct. Every analyzer must fire on it —
 // these are the negative tests CI's zero-findings budget leans on: a
 // loader regression that silently empties the call graph fails here,
@@ -38,11 +39,15 @@ func byCheck(fs []Finding, check string) []Finding {
 
 // TestInterproceduralHazards is the acceptance demonstration: a
 // map-range and a hot-path alloc in untagged helpers two calls below
-// their roots are flagged by the graph pass, each with its witness
-// chain.
+// their roots are flagged, each with its witness chain.
 func TestInterproceduralHazards(t *testing.T) {
 	prog := loadSpecimen(t)
-	fs := CheckHazards(prog)
+	var fs []Finding
+	for _, f := range CheckHazards(prog) {
+		if f.File == "internal/simt/engine.go" {
+			fs = append(fs, f)
+		}
+	}
 
 	mr := byCheck(fs, CheckMapRange)
 	if len(mr) != 1 {
@@ -89,23 +94,132 @@ func TestInterproceduralHazards(t *testing.T) {
 	}
 }
 
-// TestLegacyPassMissesUntaggedHelpers proves the other half of the
-// acceptance demonstration: the file-granular syntactic lint does not
-// see either seeded site (the map arrives as a parameter, and no
-// file-level hotpath tag exists), so the graph pass is the only line
-// of defense.
-func TestLegacyPassMissesUntaggedHelpers(t *testing.T) {
-	fs, err := progcheck.LintDirs(specimenDir)
-	if err != nil {
-		t.Fatal(err)
+// marker is one expected finding, from a "// want <check>..." comment.
+type marker struct {
+	file  string
+	line  int
+	check string
+}
+
+func (m marker) String() string { return fmt.Sprintf("%s:%d %s", m.file, m.line, m.check) }
+
+func findingKey(f Finding) string { return marker{f.File, f.Line, f.Check}.String() }
+
+// wantMarkers collects the specimen's "// want" comments, one marker
+// per expected finding.
+func wantMarkers(prog *Program) []marker {
+	var out []marker
+	for _, pkg := range prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok {
+						continue
+					}
+					file, line := prog.Rel(c.Pos())
+					for _, check := range strings.Fields(rest) {
+						out = append(out, marker{file, line, check})
+					}
+				}
+			}
+		}
 	}
+	return out
+}
+
+// TestHazardCases pins every hazard check case by case. Each case names
+// specimen functions (relative to specimen/internal/) and how many
+// findings they must produce; the findings inside them must match their
+// "// want" markers line for line, so a positive case cannot go quiet
+// and a negative case cannot fire. Across the whole specimen, too,
+// findings and markers must agree exactly.
+func TestHazardCases(t *testing.T) {
+	prog := loadSpecimen(t)
+	g := BuildGraph(prog)
+	fs := g.findings()
+	wants := wantMarkers(prog)
+
+	var got, want []string
 	for _, f := range fs {
-		if f.Check == progcheck.CheckMapRange {
-			t.Errorf("legacy pass unexpectedly flags map-range (the demonstration requires it to miss): %v", f)
-		}
-		if f.Check == progcheck.CheckHotPathAlloc {
-			t.Errorf("legacy pass unexpectedly flags hotpath-alloc (the demonstration requires it to miss): %v", f)
-		}
+		got = append(got, findingKey(f))
+	}
+	for _, w := range wants {
+		want = append(want, w.String())
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("specimen findings:\n%s\nwant markers:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	cases := []struct {
+		name string
+		want int
+		fns  []string
+	}{
+		{"MapRangeLocalMake", 1, []string{"harness.RunMapRangeLocalMake"}},
+		{"MapRangeStructField", 1, []string{"harness.RunMapRangeStructField"}},
+		{"MapRangeAllowed", 0, []string{"harness.RunMapRangeAllowed"}},
+		{"SliceRangeNotFlagged", 0, []string{"harness.RunSliceRange"}},
+		{"WallClock", 1, []string{"simt.stampNow"}},
+		{"WallClockTimerSurface", 4, []string{"harness.RunWallClockTimerSurface"}},
+		{"GlobalRand", 1, []string{"harness.RunGlobalRand"}},
+		{"SeededRandNotFlagged", 0, []string{"harness.RunSeededRand"}},
+		{"GoroutineCapturedWrite", 1, []string{"conc.capturedWrite"}},
+		{"GoroutineIndexWriteNotFlagged", 0, []string{"conc.indexWrite"}},
+		{"GoroutineLocalWriteNotFlagged", 0, []string{"conc.localWrite"}},
+		{"SharedL2ConstructorInConcurrentFile", 2, []string{"conc.runShared"}},
+		{"SharedL2AccessOnStructField", 1, []string{"conc.(*device).run"}},
+		{"SharedL2SequentialFileNotFlagged", 0, []string{"conc.miss"}},
+		{"SharedL2Allowed", 0, []string{"conc.runAllowed"}},
+		{"SharedL2OrderedPortNotFlagged", 0, []string{"conc.runOrdered"}},
+		{"SharedL2OtherPackageAccessNotFlagged", 0, []string{"conc.runOther"}},
+		{"HotpathMapMake", 1, []string{"hot.resolveTargets"}},
+		{"HotpathMapLiteral", 1, []string{"hot.mapLiteral"}},
+		{"HotpathFreshSliceAppend", 2, []string{"hot.freshAppend"}},
+		{"HotpathPooledResliceNotFlagged", 0, []string{"hot.(*warp).resolve"}},
+		{"HotpathUntaggedFileNotFlagged", 0, []string{"hot.untagged"}},
+		{"HotpathAllowed", 0, []string{"hot.launch"}},
+		{"HotpathPlainMakeSliceNotFlagged", 0, []string{"hot.launchAll"}},
+		{"HotpathFunctionGranular", 1, []string{"hot.step", "hot.setup"}},
+		{"HotpathInBlockCommentInert", 0, []string{"hot.blockTagged"}},
+		{"AllowMultipleChecksOneLine", 0, []string{"harness.RunAllowMultipleChecksOneLine"}},
+		{"AllowTrailingOnStatementLine", 0, []string{"harness.RunAllowTrailingOnStatementLine"}},
+		{"AllowReasonWithParenthetical", 1, []string{"harness.RunAllowReasonWithParenthetical"}},
+		{"AllowInBlockCommentInert", 1, []string{"harness.RunAllowInBlockCommentInert"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got, want []string
+			for _, fn := range c.fns {
+				id := "specimen/internal/" + fn
+				n := g.nodes[id]
+				if n == nil {
+					t.Fatalf("no specimen function %s", id)
+				}
+				file, from := prog.Rel(n.decl.Pos())
+				_, to := prog.Rel(n.decl.End())
+				for _, f := range fs {
+					if f.Func == id {
+						got = append(got, findingKey(f))
+					}
+				}
+				for _, w := range wants {
+					if w.file == file && w.line >= from && w.line <= to {
+						want = append(want, w.String())
+					}
+				}
+			}
+			if len(want) != c.want {
+				t.Fatalf("specimen marks %d findings in %v, the case expects %d: %v", len(want), c.fns, c.want, want)
+			}
+			sort.Strings(got)
+			sort.Strings(want)
+			if strings.Join(got, " | ") != strings.Join(want, " | ") {
+				t.Errorf("findings %v, want %v", got, want)
+			}
+		})
 	}
 }
 
